@@ -304,24 +304,28 @@ class PackedTransitionSystem:
     @property
     def edges(self) -> list[list[tuple[str, int]]]:
         if self._edges is None:
-            names = self.action_names
-            offsets = self.offsets
-            targets = self.targets
-            action_ids = self.action_ids
-            self._edges = [
-                [
-                    (names[action_ids[k]], targets[k])
-                    for k in range(offsets[i], offsets[i + 1])
-                ]
-                for i in range(len(self.codes))
-            ]
+            row = self._row
+            self._edges = [row(i) for i in range(len(self.codes))]
         return self._edges
+
+    def _row(self, index: int) -> list[tuple[str, int]]:
+        """The ``(action name, target index)`` pairs of one CSR row."""
+        names = self.action_names
+        targets = self.targets
+        action_ids = self.action_ids
+        return [
+            (names[action_ids[k]], targets[k])
+            for k in range(self.offsets[index], self.offsets[index + 1])
+        ]
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def successors(self, index: int) -> list[tuple[str, int]]:
-        return self.edges[index]
+        """``edges[index]``, reading one CSR row if ``edges`` is unbuilt."""
+        if self._edges is not None:
+            return self._edges[index]
+        return self._row(index)
 
     def index_of(self, state: State) -> int:
         """The dense index of ``state``.

@@ -23,9 +23,11 @@ module rewrites the sweeps as numpy array operations:
   decoded into the same witnesses the scalar walk reports.
 - **Deadlock/bad-state partitioning**: the convergence prefilter finds
   the first bad deadlock by mask arithmetic and proves the bad-state
-  subgraph acyclic with a vectorized Kahn peel; only when a cycle
+  subgraph acyclic with a vectorized Kahn peel (:func:`peel_residue`,
+  the one peel every acyclicity check here shares); only when a cycle
   actually exists does the exact SCC analysis
-  (:func:`~repro.verification.convergence.check_convergence`) run.
+  (:mod:`repro.verification.convergence`) run, and then only over the
+  peel's residue — the bad states that never peel.
 - **Frontier BFS**: reachability over ``offsets``/``targets`` as array
   gather/scatter (:func:`frontier_reach`).
 
@@ -58,16 +60,20 @@ __all__ = [
     "HAVE_NUMPY",
     "MAX_ACTION_PROJECTION",
     "MAX_LEAF_PROJECTION",
+    "MAX_PEEL_STATES",
     "SweepUnsupported",
     "SweepPlan",
     "VECTOR_MIN_STATES",
+    "BadRegionPeel",
     "bad_region_acyclic",
     "closure_scan",
     "edge_list_acyclic",
     "first_bad_deadlock",
     "frontier_reach",
     "merge_fragments",
+    "peel_residue",
     "peel_shard_edges",
+    "reverse_csr",
     "vectorizable",
 ]
 
@@ -85,6 +91,11 @@ MAX_LEAF_PROJECTION = 1 << 16
 #: An action whose read projection exceeds this is not laid out as flat
 #: arrays (enumerating it would cost as much as the scalar sweep).
 MAX_ACTION_PROJECTION = 1 << 20
+
+#: The largest state count the peel's packed edge keys hold (two state
+#: indices in one int64, see :func:`reverse_csr`); a larger space is
+#: outside the vectorized fragment.
+MAX_PEEL_STATES = 1 << 31
 
 #: Override the per-instance code dtype (``"int16"``/``"int32"``/
 #: ``"int64"`` or ``None`` for the codec's own width). The differential
@@ -510,6 +521,11 @@ class SweepPlan:
         _require_numpy()
         self.kernel = kernel
         codec = kernel.codec
+        if codec.size > MAX_PEEL_STATES:
+            raise SweepUnsupported(
+                f"{codec.size} states exceed the peel's limit of "
+                f"{MAX_PEEL_STATES}"
+            )
         forced = FORCE_CODE_DTYPE
         self.code_dtype = _np.dtype(
             codec.code_dtype if forced is None else forced
@@ -710,61 +726,125 @@ def _gather_ranges(starts, counts):
     return bases + _np.arange(total, dtype=_np.int64)
 
 
-def bad_region_acyclic(bad_mask, offsets, targets) -> bool:
-    """Whether the subgraph induced by the bad states is acyclic.
+def _dedup(values, stamp):
+    """``values`` without repeats, in no particular order, in O(len(values)).
 
-    A vectorized Kahn peel: repeatedly remove bad states with no
-    remaining successor inside the bad region, decrementing their
-    predecessors' internal out-degrees through a reverse-CSR adjacency
-    built with one stable sort. The region is acyclic iff everything
-    peels away — in which case convergence holds under *any* fairness
-    and the exact (but per-node) SCC analysis is skipped entirely.
+    ``stamp`` is a scratch int64 array indexed by value, reused across
+    calls. Each occurrence writes its own position; whichever write
+    survives, exactly one occurrence of every value reads it back.
+    """
+    if values.size < 2:
+        return values
+    positions = _np.arange(values.size, dtype=_np.int64)
+    stamp[values] = positions
+    return values[stamp[values] == positions]
 
-    A peeled state has internal out-degree zero, so it never appears as
-    a predecessor of a later frontier — no aliveness bookkeeping is
-    needed, and a state enters the frontier exactly once (the round its
-    counter reaches zero).
+
+def reverse_csr(sources, sinks, n: int):
+    """Predecessor lists of the edges ``sources[k] -> sinks[k]``.
+
+    Returns ``(indptr, preds)``: the sources of the edges into state
+    ``v`` are ``preds[indptr[v]:indptr[v+1]]``, in ``sources``' dtype.
+    Each edge is packed into one int64 key (sink high, source low) and
+    the keys are sorted by value, which is several times faster than an
+    argsort of the sinks.
+
+    Raises:
+        SweepUnsupported: when ``n`` exceeds :data:`MAX_PEEL_STATES`.
     """
     _require_numpy()
-    n = bad_mask.size
-    degrees = _np.diff(offsets)
-    edge_sources = _np.repeat(bad_mask, degrees)
-    internal = _np.flatnonzero(edge_sources & bad_mask[targets])
-    if internal.size == 0:
-        return True
-    sources = _np.repeat(
-        _np.arange(n, dtype=_np.int64), degrees
-    )[internal]
-    sinks = targets[internal]
-    outdegree = _np.bincount(sources, minlength=n)
-    # Reverse CSR: predecessors grouped by sink, indexed by indptr.
-    order = _np.argsort(sinks, kind="stable")
-    by_sink_source = sources[order]
+    if n > MAX_PEEL_STATES:
+        raise SweepUnsupported(
+            f"{n} states exceed the peel's limit of {MAX_PEEL_STATES}"
+        )
+    bits = max(1, (n - 1).bit_length())
     indptr = _np.empty(n + 1, dtype=_np.int64)
     indptr[0] = 0
     _np.cumsum(_np.bincount(sinks, minlength=n), out=indptr[1:])
-    remaining = int(_np.count_nonzero(bad_mask))
-    frontier = _np.flatnonzero(bad_mask & (outdegree == 0))
+    keys = sinks.astype(_np.int64)
+    keys <<= bits
+    keys |= sources
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return indptr, keys.astype(sources.dtype)
+
+
+def peel_residue(alive, sources, sinks):
+    """The Kahn peel shared by every acyclicity check: what never peels.
+
+    ``alive`` marks the region's states; ``sources -> sinks`` are its
+    edges, every source alive. A sink outside ``alive`` never peels, so
+    it pins its predecessors. Rounds remove the alive states with no
+    remaining successor, decrementing their predecessors' out-degrees
+    through :func:`reverse_csr`. The result marks the residue: the alive
+    states that lie on, or can reach, a cycle of the region (or a pinned
+    sink). Edge order does not matter, so nothing is sorted stably.
+
+    A peeled state has out-degree zero, so it never appears as a
+    predecessor of a later frontier, and a state enters the frontier
+    exactly once (the round its counter reaches zero); the residue is
+    the alive states whose counter never does.
+    """
+    _require_numpy()
+    n = alive.size
+    outdegree = _np.bincount(sources, minlength=n)
+    indptr, preds = reverse_csr(sources, sinks, n)
+    # Row ends are read through a view, never as ``frontier + 1``: a
+    # frontier drawn from ``preds`` has the code dtype, where state
+    # ``2**15 - 1`` plus one wraps in int16.
+    ends = indptr[1:]
+    stamp = _np.empty(n, dtype=_np.int64)
+    frontier = _np.flatnonzero(alive & (outdegree == 0))
     while frontier.size:
-        remaining -= int(frontier.size)
         starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        predecessors = by_sink_source[_gather_ranges(starts, counts)]
+        predecessors = preds[_gather_ranges(starts, ends[frontier] - starts)]
         if predecessors.size == 0:
             break
-        if predecessors.size * 16 >= n:
-            outdegree -= _np.bincount(predecessors, minlength=n)
-        else:
-            _np.subtract.at(outdegree, predecessors, 1)
-        # Only states whose counter just hit zero can join the frontier;
-        # filtering before the dedup keeps the unique() input tiny.
-        hit = predecessors[outdegree[predecessors] == 0]
-        frontier = _np.unique(hit)
-    return remaining == 0
+        _np.subtract.at(outdegree, predecessors, 1)
+        # Only states whose counter just hit zero can join the frontier.
+        frontier = _dedup(predecessors[outdegree[predecessors] == 0], stamp)
+    return alive & (outdegree != 0)
+
+
+class BadRegionPeel:
+    """The outcome of :func:`bad_region_acyclic`; truthy iff acyclic.
+
+    ``residue`` holds the ascending positions of the bad states that
+    never peel: those on, or able to reach, a bad cycle. They are the
+    only states the exact SCC analysis has to look at.
+    """
+
+    __slots__ = ("residue",)
+
+    def __init__(self, residue) -> None:
+        self.residue = residue
+
+    def __bool__(self) -> bool:
+        return self.residue.size == 0
+
+
+def bad_region_acyclic(bad_mask, offsets, targets) -> BadRegionPeel:
+    """Whether the subgraph induced by the bad states is acyclic.
+
+    Runs :func:`peel_residue` over the bad→bad edges of the CSR arrays.
+    The region is acyclic iff everything peels away — in which case
+    convergence holds under *any* fairness and the exact SCC analysis is
+    skipped entirely; otherwise the returned peel carries the residue
+    that analysis is confined to.
+    """
+    _require_numpy()
+    degrees = _np.diff(offsets)
+    internal = _np.repeat(bad_mask, degrees)
+    internal &= bad_mask[targets]
+    sources = _np.repeat(
+        _np.arange(bad_mask.size, dtype=targets.dtype), degrees
+    )[internal]
+    residue = peel_residue(bad_mask, sources, targets[internal])
+    return BadRegionPeel(_np.flatnonzero(residue))
 
 
 def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
-    """Shard-local Kahn peel treating out-of-shard sinks as alive.
+    """Shard-local :func:`peel_residue` treating out-of-shard sinks as alive.
 
     ``sources``/``sinks`` are the global codes of the bad→bad edges
     whose source lies in ``lo .. hi-1``; ``bad_slice`` is the bad mask
@@ -782,45 +862,20 @@ def peel_shard_edges(lo, hi, bad_slice, sources, sinks):
     """
     _require_numpy()
     n = hi - lo
-    resolved = _np.zeros(n, dtype=bool)
-    if sources.size == 0:
-        resolved |= bad_slice
-        return resolved, sources, sinks
-    local_src = sources - lo
-    in_shard = (sinks >= lo) & (sinks < hi)
-    outdegree = _np.bincount(local_src, minlength=n)
-    # Reverse adjacency over in-shard edges only: out-of-shard sinks
-    # never peel locally, so they never need predecessor lookups.
-    internal = _np.flatnonzero(in_shard)
-    r_sources = local_src[internal]
-    r_sinks = sinks[internal] - lo
-    order = _np.argsort(r_sinks, kind="stable")
-    by_sink_source = r_sources[order]
-    indptr = _np.empty(n + 1, dtype=_np.int64)
-    indptr[0] = 0
-    _np.cumsum(_np.bincount(r_sinks, minlength=n), out=indptr[1:])
-    frontier = _np.flatnonzero(bad_slice & (outdegree == 0))
-    while frontier.size:
-        resolved[frontier] = True
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        predecessors = by_sink_source[_gather_ranges(starts, counts)]
-        if predecessors.size == 0:
-            break
-        if predecessors.size * 16 >= n:
-            outdegree -= _np.bincount(predecessors, minlength=n)
-        else:
-            _np.subtract.at(outdegree, predecessors, 1)
-        hit = predecessors[outdegree[predecessors] == 0]
-        frontier = _np.unique(hit)
-    sink_resolved = _np.zeros(sinks.size, dtype=bool)
-    sink_resolved[internal] = resolved[r_sinks]
-    keep = ~resolved[local_src] & ~sink_resolved
-    return resolved, sources[keep], sinks[keep]
+    # Every out-of-shard sink becomes one extra state ``n`` that is not
+    # alive, so it never peels and pins its predecessors.
+    alive = _np.zeros(n + 1, dtype=bool)
+    alive[:n] = bad_slice
+    local_sources = sources.astype(_np.int64) - lo
+    local_sinks = sinks.astype(_np.int64) - lo
+    local_sinks[(local_sinks < 0) | (local_sinks >= n)] = n
+    peeled = alive & ~peel_residue(alive, local_sources, local_sinks)
+    keep = ~peeled[local_sources] & ~peeled[local_sinks]
+    return peeled[:n], sources[keep], sinks[keep]
 
 
 def edge_list_acyclic(sources, sinks, bad_mask) -> bool:
-    """Kahn peel over an explicit global bad→bad edge list.
+    """:func:`peel_residue` over an explicit global bad→bad edge list.
 
     The streaming verdict path's boundary-frontier exchange: after the
     shard-local peels (:func:`peel_shard_edges`) drained everything they
@@ -829,54 +884,30 @@ def edge_list_acyclic(sources, sinks, bad_mask) -> bool:
     is acyclic iff this global peel empties it — the same fixpoint
     :func:`bad_region_acyclic` computes over a materialized CSR.
     """
-    _require_numpy()
-    remaining = int(_np.count_nonzero(bad_mask))
-    if sources.size == 0:
-        # No surviving edges: every unresolved state peels in round one.
-        return True
-    n = bad_mask.size
-    outdegree = _np.bincount(sources, minlength=n)
-    order = _np.argsort(sinks, kind="stable")
-    by_sink_source = sources[order]
-    indptr = _np.empty(n + 1, dtype=_np.int64)
-    indptr[0] = 0
-    _np.cumsum(_np.bincount(sinks, minlength=n), out=indptr[1:])
-    frontier = _np.flatnonzero(bad_mask & (outdegree == 0))
-    while frontier.size:
-        remaining -= int(frontier.size)
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        predecessors = by_sink_source[_gather_ranges(starts, counts)]
-        if predecessors.size == 0:
-            break
-        if predecessors.size * 16 >= n:
-            outdegree -= _np.bincount(predecessors, minlength=n)
-        else:
-            _np.subtract.at(outdegree, predecessors, 1)
-        hit = predecessors[outdegree[predecessors] == 0]
-        frontier = _np.unique(hit)
-    return remaining == 0
+    return not peel_residue(bad_mask, sources, sinks).any()
 
 
 def frontier_reach(offsets, targets, roots, size: int):
     """The states reachable from ``roots``, as a boolean mask.
 
     Frontier BFS as array gather/scatter: each round gathers the whole
-    frontier's CSR edge ranges at once, dedupes, and scatters into the
-    visited mask — no per-state Python.
+    frontier's CSR edge ranges at once, drops visited states, dedupes
+    (:func:`_dedup`) and scatters into the visited mask — no per-state
+    Python.
     """
     _require_numpy()
+    offsets = _np.asarray(offsets)
+    targets = _np.asarray(targets)
+    # Row ends through a view, as in :func:`peel_residue`: a frontier
+    # drawn from ``targets`` has their (possibly int16) dtype.
+    ends = offsets[1:]
     visited = _np.zeros(size, dtype=bool)
-    frontier = _np.unique(_np.asarray(list(roots), dtype=_np.int64))
+    stamp = _np.empty(size, dtype=_np.int64)
+    frontier = _dedup(_np.asarray(roots, dtype=_np.int64), stamp)
     visited[frontier] = True
-    offsets = _np.asarray(offsets, dtype=_np.int64)
-    targets = _np.asarray(targets, dtype=_np.int64)
     while frontier.size:
         starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        successors = targets[_gather_ranges(starts, counts)]
-        successors = _np.unique(successors)
-        successors = successors[~visited[successors]]
-        visited[successors] = True
-        frontier = successors
+        successors = targets[_gather_ranges(starts, ends[frontier] - starts)]
+        frontier = _dedup(successors[~visited[successors]], stamp)
+        visited[frontier] = True
     return visited

@@ -44,6 +44,7 @@ from repro.verification.closure import ClosureResult, ClosureWitness
 from repro.verification.convergence import (
     ConvergenceCounterexample,
     ConvergenceResult,
+    _cycle_verdict,
     check_convergence,
 )
 
@@ -747,53 +748,40 @@ def _vectorized_full_space(
                     kind="deadlock", states=(state,)
                 ),
             )
-        elif sweeps.bad_region_acyclic(bad_mask, span_offsets, span_targets):
-            # No bad deadlock and no bad cycle: convergence holds under
-            # any fairness, with no SCC analysis and no span system.
-            convergence = ConvergenceResult(
-                ok=True,
-                fairness=fairness,
-                span_states=span_count,
-                bad_states=bad_count,
-            )
         else:
-            # A bad cycle exists somewhere: hand the span to the exact
-            # checker for the scalar engines' counterexample, seeding its
-            # predicate memo from the masks like the scalar sweep does.
-            span_codes = (
-                np.arange(count, dtype=np.int64)
-                if span_rows is None
-                else span_rows
+            peel = sweeps.bad_region_acyclic(
+                bad_mask, span_offsets, span_targets
             )
-            span_system = PackedTransitionSystem(
-                codec,
-                span_codes,
-                span_offsets,
-                span_targets,
-                span_ids,
-                names,
-                [],
-            )
-            good = (
-                np.flatnonzero(s_mask)
-                if span_rows is None
-                else np.flatnonzero(s_mask[span_rows])
-            )
-            span_system._satisfying_cache[id(invariant)] = (
-                invariant,
-                tuple(good.tolist()),
-            )
-            span_system._satisfying_cache[id(fault_span)] = (
-                fault_span,
-                tuple(range(span_count)),
-            )
-            convergence = check_convergence(
-                program,
-                span_system.states,
-                invariant,
-                fairness=fairness,
-                system=span_system,
-            )
+            if peel:
+                # No bad deadlock and no bad cycle: convergence holds
+                # under any fairness, with no SCC analysis.
+                convergence = ConvergenceResult(
+                    ok=True,
+                    fairness=fairness,
+                    span_states=span_count,
+                    bad_states=bad_count,
+                )
+            else:
+                # A bad cycle exists somewhere: the exact checker runs on
+                # the peel's residue only, which yields the scalar
+                # engines' counterexample (see ``_cycle_verdict``).
+                span_system = PackedTransitionSystem(
+                    codec,
+                    np.arange(count, dtype=np.int64)
+                    if span_rows is None
+                    else span_rows,
+                    span_offsets,
+                    span_targets,
+                    span_ids,
+                    names,
+                    [],
+                )
+                convergence = _cycle_verdict(
+                    span_system,
+                    peel.residue.tolist(),
+                    fairness=fairness,
+                    bad_states=bad_count,
+                )
 
     if t_mask is None:
         masking = bool(s_mask.all())

@@ -469,20 +469,14 @@ def _classify_scalar(n: int, offsets, targets, is_target) -> list[bool]:
 
 def _classify_vector(n: int, offsets, targets, is_target):
     """Vectorized :func:`_classify_scalar`: reverse CSR + frontier BFS."""
-    from repro.kernel.sweeps import frontier_reach
+    from repro.kernel.sweeps import frontier_reach, reverse_csr
 
     np = _np
-    off = np.asarray(offsets, dtype=np.int64)
     tgt = np.asarray(targets, dtype=np.int64)
-    counts = off[1:] - off[:-1]
-    src = np.repeat(np.arange(n, dtype=np.int64), counts)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
     is_t = np.asarray(is_target, dtype=bool)
     keep = ~is_t[src]  # target states are absorbing
-    rev_src = tgt[keep]
-    rev_dst = src[keep]
-    rev_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rev_src, minlength=n), out=rev_offsets[1:])
-    rev_targets = rev_dst[np.argsort(rev_src, kind="stable")]
+    rev_offsets, rev_targets = reverse_csr(src[keep], tgt[keep], n)
     target_roots = np.flatnonzero(is_t)
     reaches = (
         frontier_reach(rev_offsets, rev_targets, target_roots, n)

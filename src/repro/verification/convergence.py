@@ -149,7 +149,8 @@ def _internal_successors(
     """Per-bad-state successors staying inside the bad region.
 
     Reads the packed engine's CSR arrays directly when the system carries
-    them, skipping ``ts.edges``'s per-edge tuple materialization.
+    them, one row slice per state, skipping ``ts.edges``'s per-edge tuple
+    materialization.
     """
     offsets = getattr(ts, "offsets", None)
     if offsets is None:
@@ -164,9 +165,11 @@ def _internal_successors(
     targets = ts.targets
     return {
         position: [
-            targets[k]
-            for k in range(offsets[position], offsets[position + 1])
-            if targets[k] in bad_set
+            target_index
+            for target_index in targets[
+                offsets[position] : offsets[position + 1]
+            ].tolist()
+            if target_index in bad_set
         ]
         for position in bad
     }
@@ -211,6 +214,13 @@ def _find_cycle_in_component(
             raise ValidationError("component is not strongly connected")
 
 
+def _require_fairness_mode(fairness: str) -> None:
+    if fairness not in FAIRNESS_MODES:
+        raise ValidationError(
+            f"unknown fairness mode {fairness!r}; expected one of {FAIRNESS_MODES}"
+        )
+
+
 def check_convergence(
     program: Program,
     span_states: Iterable[State],
@@ -233,10 +243,7 @@ def check_convergence(
         system: Optionally a prebuilt transition system over exactly the
             span states, to share work across checks.
     """
-    if fairness not in FAIRNESS_MODES:
-        raise ValidationError(
-            f"unknown fairness mode {fairness!r}; expected one of {FAIRNESS_MODES}"
-        )
+    _require_fairness_mode(fairness)
     ts = system if system is not None else build_transition_system(program, span_states)
     if ts.escapes:
         index, action_name, successor = ts.escapes[0]
@@ -250,7 +257,6 @@ def check_convergence(
     # pre-populates the memo from its membership masks).
     good = set(ts.satisfying(target))
     bad = [position for position in range(len(ts)) if position not in good]
-    bad_set = set(bad)
 
     offsets = getattr(ts, "offsets", None)
     for position in bad:
@@ -269,9 +275,30 @@ def check_convergence(
                 ),
             )
 
-    internal = _internal_successors(ts, bad, bad_set)
+    return _cycle_verdict(ts, bad, fairness=fairness, bad_states=len(bad))
 
-    components = _strongly_connected_components(bad, internal)
+
+def _cycle_verdict(
+    ts: TransitionSystem,
+    region: list[int],
+    *,
+    fairness: str,
+    bad_states: int,
+) -> ConvergenceResult:
+    """The SCC-and-fairness half of :func:`check_convergence`.
+
+    ``region`` lists deadlock-free bad positions in ascending order. It
+    may leave out bad states that can reach no bad cycle — the vectorized
+    kernel passes only its Kahn peel's residue — because such a state's
+    DFS reaches only other left-out states and each is a trivial SCC:
+    Tarjan then emits the same non-trivial components, in the same order
+    and with their members in the same order, so the verdict and the
+    counterexample are those of the whole bad region. ``bad_states`` is
+    the whole region's count, reported as is.
+    """
+    _require_fairness_mode(fairness)
+    internal = _internal_successors(ts, region, set(region))
+    components = _strongly_connected_components(region, internal)
     for component in components:
         if not _component_has_internal_edge(component, internal):
             continue
@@ -281,21 +308,21 @@ def check_convergence(
                 ok=False,
                 fairness=fairness,
                 span_states=len(ts),
-                bad_states=len(bad),
+                bad_states=bad_states,
                 counterexample=ConvergenceCounterexample(
                     kind="cycle",
                     states=tuple(ts.states[node] for node in cycle),
                 ),
             )
         members = set(component)
-        enabled_sets = [
-            {name for name, _ in ts.edges[node]} for node in component
-        ]
+        # Only the component's rows are read, not the whole edge list.
+        edges = {node: ts.successors(node) for node in component}
+        enabled_sets = [{name for name, _ in edges[node]} for node in component]
         always_enabled = set.intersection(*enabled_sets)
         internal_actions = {
             name
             for node in component
-            for name, target_index in ts.edges[node]
+            for name, target_index in edges[node]
             if target_index in members
         }
         if always_enabled <= internal_actions:
@@ -310,7 +337,7 @@ def check_convergence(
                 restricted = {
                     node: [
                         target_index
-                        for name, target_index in ts.edges[node]
+                        for name, target_index in edges[node]
                         if target_index in members and name in always_enabled
                     ]
                     for node in component
@@ -326,7 +353,7 @@ def check_convergence(
                 ok=False,
                 fairness=fairness,
                 span_states=len(ts),
-                bad_states=len(bad),
+                bad_states=bad_states,
                 counterexample=ConvergenceCounterexample(
                     kind="cycle",
                     states=tuple(ts.states[node] for node in cycle),
@@ -336,7 +363,7 @@ def check_convergence(
         ok=True,
         fairness=fairness,
         span_states=len(ts),
-        bad_states=len(bad),
+        bad_states=bad_states,
     )
 
 

@@ -227,6 +227,15 @@ class TestPackedTransitionSystem:
                 states[position]
             )
 
+    def test_successors_read_rows_without_building_edges(self):
+        program = _two_var_program()
+        states = list(program.state_space())
+        packed = build_packed_system(program, states)
+        plain = build_transition_system(program, states, engine="dict")
+        for position in range(len(plain)):
+            assert packed.successors(position) == plain.successors(position)
+        assert packed._edges is None
+
     def test_escapes_match_on_non_closed_subset(self):
         program = _two_var_program()
         subset = [s for s in program.state_space() if s["a"] < 2]
