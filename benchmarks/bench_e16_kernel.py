@@ -37,7 +37,8 @@ from repro.core.predicates import TRUE
 from repro.kernel import sweeps
 from repro.protocols.diffusing import build_diffusing_design
 from repro.protocols.library import build_case, case_names
-from repro.topology import balanced_tree, star_tree
+from repro.protocols.spanning_tree import spanning_tree_stair
+from repro.topology import balanced_tree, path_graph, star_tree
 from repro.verification.checker import _check_tolerance as check_tolerance
 
 #: The cold-verification speedup the kernel PR promises per shape.
@@ -51,6 +52,33 @@ MIN_VECTOR_SPEEDUP = 5.0
 SHAPES = (
     ("diffusing star-7", lambda: star_tree(7)),
     ("diffusing balanced-2x2", lambda: balanced_tree(2, 2)),
+)
+
+
+def _diffusing(make_tree):
+    """A diffusing design's ``(program, invariant, fault_span)``; T = true."""
+    design = build_diffusing_design(make_tree())
+    return design.program, design.candidate.invariant, TRUE
+
+
+def _stair_span_path(nodes: int):
+    """A spanning tree on a path, nonmasking for the first stair step.
+
+    The fault span ``H_0`` reads every variable, so its leaf table is the
+    whole state space (``7**6 = 117,649`` entries at 6 nodes).
+    """
+    program, invariant = build_case("spanning-tree-path", nodes)
+    return program, invariant, spanning_tree_stair(path_graph(nodes), 0)[1]
+
+
+#: Kernel v2 cases: the acceptance shapes, plus a nonmasking instance
+#: whose fault-span leaf spans the whole space.
+VECTOR_CASES = (
+    *(
+        (shape_name, lambda make_tree=make_tree: _diffusing(make_tree))
+        for shape_name, make_tree in SHAPES
+    ),
+    ("spanning-tree path-6 (stair span)", lambda: _stair_span_path(6)),
 )
 
 #: Cold trials per shape; the best ratio is scored (both runs are cold
@@ -168,18 +196,20 @@ def test_e16_kernel_speedup(benchmark, report, bench_timings):
     )
 
 
-def _scalar_vs_vectorized(program, invariant, *, shards=None):
+def _scalar_vs_vectorized(program, invariant, fault_span, *, shards=None):
     """Cold scalar-sweep and vectorized-sweep packed verifications."""
     threshold = sweeps.VECTOR_MIN_STATES
     try:
         sweeps.VECTOR_MIN_STATES = 1 << 62  # force the scalar sweep
         started = time.perf_counter()
-        scalar_report = check_tolerance(program, invariant, TRUE, engine="packed")
+        scalar_report = check_tolerance(
+            program, invariant, fault_span, engine="packed"
+        )
         scalar_seconds = time.perf_counter() - started
         sweeps.VECTOR_MIN_STATES = 0  # force the vectorized sweep
         started = time.perf_counter()
         vector_report = check_tolerance(
-            program, invariant, TRUE, engine="packed", shards=shards
+            program, invariant, fault_span, engine="packed", shards=shards
         )
         vector_seconds = time.perf_counter() - started
     finally:
@@ -197,21 +227,15 @@ def test_e16_kernel_v2_vectorized_speedup(report, bench_timings):
 
     rows = []
     instances = []
-    for shape_name, make_tree in SHAPES:
-        trials = []
-        for _ in range(TRIALS):
-            design = build_diffusing_design(make_tree())
-            trials.append(
-                _scalar_vs_vectorized(design.program, design.candidate.invariant)
-            )
+    for shape_name, make_instance in VECTOR_CASES:
+        trials = [
+            _scalar_vs_vectorized(*make_instance()) for _ in range(TRIALS)
+        ]
         best_scalar = min(s for s, _ in trials)
         best_vector = min(v for _, v in trials)
         speedup = max(s / v for s, v in trials)
         # Sharding must not change the report (one cold check per shape).
-        design = build_diffusing_design(make_tree())
-        _scalar_vs_vectorized(
-            design.program, design.candidate.invariant, shards=4
-        )
+        _scalar_vs_vectorized(*make_instance(), shards=4)
         rows.append(
             [
                 shape_name,
@@ -322,6 +346,20 @@ def run_demo_1e8(shards: int | None = None) -> int:
 #: Small library cases for the CI smoke — seconds, not minutes.
 QUICK_CASES = ("diffusing-chain", "coloring-chain", "mp-token-ring")
 
+#: The smoke's nonmasking case: a stair-step fault span on a 5-node path
+#: (7,776 states), whose one leaf reads every variable.
+QUICK_STAIR_NODES = 5
+
+
+def _quick_instances():
+    """``(label, make)`` per smoke case; ``make`` builds a fresh instance."""
+    for name in QUICK_CASES:
+        yield name, lambda name=name: (*build_case(name), TRUE)
+    yield (
+        f"stair-span path-{QUICK_STAIR_NODES}",
+        lambda: _stair_span_path(QUICK_STAIR_NODES),
+    )
+
 
 def run_quick(shards: int | None = None) -> int:
     """Fast engine-parity smoke: identical verdicts, packed not slower.
@@ -332,41 +370,54 @@ def run_quick(shards: int | None = None) -> int:
     is enforced by the full E16 run on the 16384-state shapes.
 
     With ``shards``, each case is additionally verified through the
-    sharded vectorized sweep (forced even on these small spaces) and the
-    report must be identical to both scalar engines.
+    sharded vectorized sweep (forced even on these small spaces): the
+    sweep must not fall back to the scalar path, and the report must be
+    identical to both scalar engines. The stair-span case puts an opaque
+    whole-space fault-span leaf through that sweep.
     """
+    from repro.observability.metrics import MetricsRegistry
+
     failures = []
     sharded = f" + sharded x{shards}" if shards else ""
-    print(f"kernel perf smoke: {len(QUICK_CASES)} cases, dict vs packed{sharded}")
-    for name in QUICK_CASES:
+    instances = list(_quick_instances())
+    print(f"kernel perf smoke: {len(instances)} cases, dict vs packed{sharded}")
+    for name, make_instance in instances:
         # Best of three cold trials per engine: the instances are small
         # enough that a single sub-millisecond run is scheduler noise.
         dict_seconds = packed_seconds = float("inf")
         for _ in range(3):
-            program, invariant = build_case(name)
+            program, invariant, fault_span = make_instance()
             started = time.perf_counter()
             dict_report = check_tolerance(
-                program, invariant, TRUE, list(program.state_space()),
+                program, invariant, fault_span, list(program.state_space()),
                 engine="dict",
             )
             dict_seconds = min(dict_seconds, time.perf_counter() - started)
             started = time.perf_counter()
             packed_report = check_tolerance(
-                program, invariant, TRUE, engine="packed"
+                program, invariant, fault_span, engine="packed"
             )
             packed_seconds = min(packed_seconds, time.perf_counter() - started)
             if packed_report != dict_report:
                 failures.append(f"{name}: packed verdict differs from dict")
                 break
         if shards and not failures:
-            program, invariant = build_case(name)
+            program, invariant, fault_span = make_instance()
+            metrics = MetricsRegistry()
             sharded_report = check_tolerance(
-                program, invariant, TRUE, engine="packed", shards=shards
+                program,
+                invariant,
+                fault_span,
+                engine="packed",
+                shards=shards,
+                metrics=metrics,
             )
             if sharded_report != dict_report:
                 failures.append(
                     f"{name}: sharded (shards={shards}) verdict differs"
                 )
+            if not metrics.report().counters.get("kernel.sweep.vectorized"):
+                failures.append(f"{name}: sharded run took the scalar sweep")
         ratio = dict_seconds / packed_seconds
         print(
             f"  {name:<22} dict={dict_seconds:7.3f}s "

@@ -47,6 +47,7 @@ __all__ = [
     "compile_program",
     "explore_packed",
     "kernel_supported",
+    "odometer",
 ]
 
 #: Packed codes live in ``array('q')`` buffers; larger spaces cannot.
@@ -61,6 +62,48 @@ def kernel_supported(program: Program) -> bool:
     return all(
         variable.domain.is_finite for variable in program.variables.values()
     )
+
+
+def odometer(
+    codec: StateCodec,
+    positions: Sequence[int],
+    digits: list[int],
+    start: int,
+    stop: int,
+):
+    """Yield ``(key, digits, values)`` for ``key`` in ``start .. stop-1``.
+
+    ``digits`` seeds the wheel and ``values`` is derived from it; both
+    lists are advanced in place between yields. Only the digits at
+    ``positions`` (ascending codec positions, most significant first)
+    turn, the last one fastest, so each step rewrites just the digits
+    that change. Over every position from a decoded code the keys are
+    packed codes; over a support from all-zero digits they are the
+    mixed-radix projection keys, in ascending order.
+    """
+    radices = codec.radices
+    domain_values = codec.domain_values
+    values = [
+        domain_values[position][digit] for position, digit in enumerate(digits)
+    ]
+    wheel = [
+        (position, radices[position], domain_values[position])
+        for position in reversed(positions)
+    ]
+
+    def generate():
+        for key in range(start, stop):
+            yield key, digits, values
+            for position, radix, column in wheel:
+                digit = digits[position] + 1
+                if digit < radix:
+                    digits[position] = digit
+                    values[position] = column[digit]
+                    break
+                digits[position] = 0
+                values[position] = column[0]
+
+    return generate()
 
 
 class PackedKernel:
@@ -137,35 +180,14 @@ class PackedKernel:
         """Yield ``(code, digits, values)`` over ``lo .. hi-1`` in code order.
 
         The contiguous-range counterpart of :meth:`iter_space` for shard
-        workers: one decode seeds the odometer at ``lo``, then digits and
-        values advance in place (the yielded lists are shared and mutated
-        between yields, exactly like the compiled actions expect).
+        workers: one decode seeds an :func:`odometer` over every position
+        at ``lo`` (the yielded lists are shared and mutated between
+        yields, exactly like the compiled actions expect).
         """
         codec = self.codec
-        radices = codec.radices
-        domain_values = codec.domain_values
-        last = len(radices) - 1
-        digits = codec.decode_digits(lo)
-        values = [
-            domain_values[position][digit]
-            for position, digit in enumerate(digits)
-        ]
-
-        def generate():
-            for code in range(lo, hi):
-                yield code, digits, values
-                position = last
-                while position >= 0:
-                    digit = digits[position] + 1
-                    if digit < radices[position]:
-                        digits[position] = digit
-                        values[position] = domain_values[position][digit]
-                        break
-                    digits[position] = 0
-                    values[position] = domain_values[position][0]
-                    position -= 1
-
-        return generate()
+        return odometer(
+            codec, range(len(codec.radices)), codec.decode_digits(lo), lo, hi
+        )
 
     def analyze_code(self, code: int) -> tuple[list[int], list[Any]]:
         """The digit and value lists of one packed code."""

@@ -6,10 +6,11 @@ sweep still walked those arrays one state at a time in Python. This
 module rewrites the sweeps as numpy array operations:
 
 - **Membership masks**: a predicate is decomposed along its recorded
-  combinator structure (``Predicate.parts``) into small-support leaves;
-  each leaf becomes a projection table indexed by the leaf's mixed-radix
-  key, so the mask of a code range is a handful of table gathers and
-  boolean reductions instead of one Python call per state.
+  combinator structure (``Predicate.parts``) into leaves; each leaf
+  becomes a projection table indexed by the leaf's mixed-radix key, so
+  the mask of a code range is a handful of table gathers and boolean
+  reductions. A table never costs more calls than states, whatever the
+  leaf's support.
 - **Successor columns**: a table-mode action's memoized entries are laid
   out as flat arrays over its read projection, so the successors of a
   whole code range are ``codes + shift[key]`` (every write also read) or
@@ -43,12 +44,10 @@ whose results the differential suite pins bit-identical.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.core.expr import BoolExpr
 from repro.core.predicates import Predicate
 from repro.kernel.compile import _MISSING, compile_predicate_fn
-from repro.kernel.engine import PackedKernel
+from repro.kernel.engine import PackedKernel, odometer
 
 try:  # numpy is optional: without it every entry point raises
     import numpy as _np
@@ -59,7 +58,6 @@ __all__ = [
     "FORCE_CODE_DTYPE",
     "HAVE_NUMPY",
     "MAX_ACTION_PROJECTION",
-    "MAX_LEAF_PROJECTION",
     "MAX_PEEL_STATES",
     "SweepUnsupported",
     "SweepPlan",
@@ -83,10 +81,6 @@ HAVE_NUMPY = _np is not None
 #: Below this state count the scalar sweep wins (numpy's fixed per-array
 #: overhead dominates); tests force the vectorized path by lowering it.
 VECTOR_MIN_STATES = 1024
-
-#: A predicate leaf whose support projection exceeds this is not
-#: tabulated; the whole sweep falls back to the scalar path.
-MAX_LEAF_PROJECTION = 1 << 16
 
 #: An action whose read projection exceeds this is not laid out as flat
 #: arrays (enumerating it would cost as much as the scalar sweep).
@@ -162,8 +156,8 @@ class _RangeContext:
         """
         if not pairs:
             return _np.zeros(self.hi - self.lo, dtype=_np.int32)
-        # Projections are capped at 2^20 entries, so int32 keys always
-        # suffice regardless of the code dtype.
+        # A projection never exceeds ``codec.size``, which a plan caps at
+        # MAX_PEEL_STATES = 2^31, so keys fit int32 whatever the code dtype.
         key = self.digit(pairs[0][0]).astype(_np.int32)
         for position, radix in pairs[1:]:
             key = key * radix + self.digit(position)
@@ -175,8 +169,28 @@ class _RangeContext:
 # ----------------------------------------------------------------------
 
 
+def _projection(codec, pairs):
+    """Enumerate the projection onto ``pairs`` in key order.
+
+    Returns ``(size, keys)``: ``keys`` is an :func:`odometer` yielding
+    ``(key, digits, values)`` with every position outside ``pairs`` at
+    its first domain value.
+    """
+    size = 1
+    for _, radix in pairs:
+        size *= radix
+    positions = [position for position, _ in pairs]
+    return size, odometer(codec, positions, [0] * len(codec.radices), 0, size)
+
+
 class _LeafMask:
-    """One leaf predicate tabulated over its support projection."""
+    """One leaf predicate tabulated over its support projection.
+
+    Any support is tabulated: the projection is a product of some of the
+    codec's radices, so it never exceeds ``codec.size`` — at most one
+    predicate call and one table byte per state, what the scalar sweep's
+    own evaluation and one state mask cost.
+    """
 
     __slots__ = ("pairs", "table")
 
@@ -184,27 +198,14 @@ class _LeafMask:
         self.pairs = tuple(
             (position, codec.radices[position]) for position in positions
         )
-        projection = 1
-        for _, radix in self.pairs:
-            projection *= radix
-        if projection > MAX_LEAF_PROJECTION:
-            raise SweepUnsupported(
-                f"predicate {predicate.name!r} projects onto {projection} "
-                "entries, above the leaf-table cap"
-            )
         from repro.kernel.compile import DigitStateView
 
         view = DigitStateView(codec)
         evaluate = compile_predicate_fn(predicate, codec, view)
-        values = [column[0] for column in codec.domain_values]
+        projection, keys = _projection(codec, self.pairs)
         table = _np.empty(projection, dtype=bool)
-        domain_values = codec.domain_values
         try:
-            for key, combo in enumerate(
-                itertools.product(*[range(radix) for _, radix in self.pairs])
-            ):
-                for (position, _), digit in zip(self.pairs, combo):
-                    values[position] = domain_values[position][digit]
+            for key, _digits, values in keys:
                 table[key] = bool(evaluate(values))
         except SweepUnsupported:
             raise
@@ -361,9 +362,7 @@ class _TableColumns:
 
     def __init__(self, action, codec, dtype) -> None:
         pairs = action._read_pairs
-        projection = 1
-        for _, radix in pairs:
-            projection *= radix
+        projection, keys = _projection(codec, pairs)
         if projection > MAX_ACTION_PROJECTION:
             raise SweepUnsupported(
                 f"action {action.name!r} projects onto {projection} entries, "
@@ -387,18 +386,10 @@ class _TableColumns:
                 for position, weight in written
             ]
         )
-        digits = [0] * len(codec.names)
-        values = [column[0] for column in codec.domain_values]
-        domain_values = codec.domain_values
         table = action._table
         evaluate = action._evaluate
         try:
-            for key, combo in enumerate(
-                itertools.product(*[range(radix) for _, radix in pairs])
-            ):
-                for (position, _), digit in zip(pairs, combo):
-                    digits[position] = digit
-                    values[position] = domain_values[position][digit]
+            for key, digits, values in keys:
                 entry = table.get(key, _MISSING)
                 if entry is _MISSING:
                     entry = evaluate(0, digits, values)
@@ -536,14 +527,8 @@ class SweepPlan:
         edge_bound = codec.size * max(1, len(kernel.actions))
         wide_offsets = forced == "int64" or edge_bound > 2**31 - 1
         self.offset_dtype = _np.dtype(_np.int64 if wide_offsets else _np.int32)
-        battery = _BatteryCache(kernel.program)
-        self.s_node = _compile_mask(invariant, codec, battery)
-        # fault_span is None for the stabilizing span (T == TRUE).
-        self.t_node = (
-            None
-            if fault_span is None
-            else _compile_mask(fault_span, codec, battery)
-        )
+        # Actions first: an instance whose actions are refused pays no
+        # whole-space leaf tabulation before it falls back.
         table_members: list[tuple[int, _TableColumns]] = []
         direct_members: list[tuple[int, object]] = []
         for action_id, action in enumerate(kernel.actions):
@@ -558,6 +543,14 @@ class SweepPlan:
             _DirectColumns(direct_members) if direct_members else None
         )
         self.n_actions = len(kernel.actions)
+        battery = _BatteryCache(kernel.program)
+        self.s_node = _compile_mask(invariant, codec, battery)
+        # fault_span is None for the stabilizing span (T == TRUE).
+        self.t_node = (
+            None
+            if fault_span is None
+            else _compile_mask(fault_span, codec, battery)
+        )
 
     def _context(self, lo: int, hi: int) -> _RangeContext:
         return _RangeContext(self.kernel.codec, lo, hi, self.code_dtype)

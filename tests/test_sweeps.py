@@ -1,6 +1,6 @@
 """Kernel v2 tests: vectorized sweeps, sharding, and engine parity.
 
-Three layers:
+Four layers:
 
 - unit tests for the array primitives in :mod:`repro.kernel.sweeps`
   (closure scan, deadlock scan, Kahn acyclicity peel, frontier BFS, CSR
@@ -9,10 +9,14 @@ Three layers:
   lowering ``VECTOR_MIN_STATES``) and the sharded path bit-identical to
   the scalar packed sweep across the protocol library and crafted
   failing instances;
+- whole-space predicate leaves: stair-step fault spans agree on every
+  route, projections enumerate in key order, and a leaf that raises
+  while tabulated is refused;
 - engine-parity tests at the ``max_states`` boundary and pool-robustness
   tests for the ``BrokenProcessPool`` sequential fallback.
 """
 
+import itertools
 import multiprocessing
 import os
 
@@ -31,10 +35,15 @@ from repro.core import (
 from repro.core.errors import StateSpaceTooLargeError
 from repro.core.predicates import TRUE
 from repro.kernel import sweeps
+from repro.kernel.engine import compile_program
 from repro.kernel.shard import plan_shards
 from repro.kernel.verify import check_tolerance_packed
 from repro.protocols.library import build_case, case_names
+from repro.protocols.spanning_tree import spanning_tree_stair
+from repro.topology import path_graph
 from repro.verification.checker import _check_tolerance as check_tolerance
+
+from tests.test_peel import _assert_routes_agree, _routes
 
 needs_numpy = pytest.mark.skipif(
     not sweeps.HAVE_NUMPY, reason="numpy is not installed"
@@ -358,6 +367,200 @@ def test_opaque_predicate_without_support_falls_back(monkeypatch):
     scalar = _packed_report(program, opaque, TRUE)
     _force_vectorized(monkeypatch)
     assert _packed_report(program, opaque, TRUE) == scalar
+
+
+# ----------------------------------------------------------------------
+# Whole-space leaves: stair-step fault spans and projection enumeration
+# ----------------------------------------------------------------------
+
+
+def _stair_instance(nodes: int, step: int = 1):
+    """A spanning tree on a path, ``T`` a stair step reading every variable."""
+    program, invariant = build_case("spanning-tree-path", nodes)
+    return program, invariant, spanning_tree_stair(path_graph(nodes), 0)[step]
+
+
+@needs_numpy
+@pytest.mark.parametrize("fairness", ["weak", "none"])
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_stair_span_routes_agree_on_a_short_path(fairness, step, monkeypatch):
+    program, invariant, span = _stair_instance(4, step)
+    assert set(span.support) == set(program.variables)
+    reports = _routes(program, invariant, span, fairness, monkeypatch)
+    _assert_routes_agree(reports)
+    assert reports["scalar"].ok
+    assert reports["scalar"].classification == "nonmasking"
+
+
+@needs_numpy
+@pytest.mark.parametrize("fairness", ["weak", "none"])
+def test_span6_stair_span_is_vectorized(fairness, monkeypatch):
+    from repro.observability.events import KERNEL_MEM, KERNEL_SWEEP
+    from repro.observability.tracer import Tracer
+
+    program, invariant, span = _stair_instance(6)
+    # 7^6 = 117,649 entries: the whole space, one leaf table.
+    assert compile_program(program).codec.size == 7**6
+    reports = _routes(program, invariant, span, fairness, monkeypatch)
+    _assert_routes_agree(reports)
+    assert reports["scalar"].ok
+    assert not reports["scalar"].stabilizing
+    # At its size span6 takes the vectorized sweep unforced.
+    monkeypatch.undo()
+    tracer = Tracer.buffered()
+    traced = _packed_report(
+        program, invariant, span, fairness=fairness, tracer=tracer
+    )
+    assert traced == reports["scalar"]
+    assert KERNEL_SWEEP in [event.kind for event in tracer.events]
+    (memory,) = [event for event in tracer.events if event.kind == KERNEL_MEM]
+    assert memory.fields["path"] == "vectorized"
+
+
+def _mixed_radix_program() -> Program:
+    """Radices 3, 1, 2, 1, 4 — including two single-value variables."""
+    return Program(
+        "mixed-radix",
+        [
+            Variable(name, IntegerRangeDomain(0, top), process="p")
+            for name, top in (("a", 2), ("b", 0), ("c", 1), ("d", 0), ("e", 3))
+        ],
+        [],
+    )
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "positions", [(0, 1, 2, 3, 4), (0, 2, 4), (1, 3), (4,), (2, 3, 4), ()]
+)
+def test_projection_enumerates_like_product(positions):
+    codec = compile_program(_mixed_radix_program()).codec
+    pairs = tuple((position, codec.radices[position]) for position in positions)
+    size, keys = sweeps._projection(codec, pairs)
+    combos = list(
+        itertools.product(*[range(radix) for _, radix in pairs])
+    )
+    assert size == len(combos)
+    seen = []
+    for key, digits, values in keys:
+        seen.append(key)
+        combo = combos[key]
+        expected = [0] * len(codec.radices)
+        for (position, _), digit in zip(pairs, combo):
+            expected[position] = digit
+        assert digits == expected
+        assert values == [
+            codec.domain_values[position][digit]
+            for position, digit in enumerate(expected)
+        ]
+    assert seen == list(range(size))
+
+
+def test_iter_range_decodes_every_code():
+    kernel = compile_program(_mixed_radix_program())
+    codec = kernel.codec
+    for lo, hi in ((0, codec.size), (5, 17), (23, 24), (7, 7)):
+        walked = [
+            (code, list(digits), list(values))
+            for code, digits, values in kernel.iter_range(lo, hi)
+        ]
+        assert walked == [
+            (code, codec.decode_digits(code), codec.decode_values(code))
+            for code in range(lo, hi)
+        ]
+
+
+@needs_numpy
+def test_empty_support_leaf_is_one_entry():
+    program = _mixed_radix_program()
+    codec = compile_program(program).codec
+    leaf = sweeps._LeafMask(
+        Predicate(lambda s: True, name="true", support=()), codec, []
+    )
+    assert leaf.table.tolist() == [True]
+
+
+def _grid(top: int = 3) -> Program:
+    """``x, y`` in ``0..top``, each counting down to 0."""
+    return Program(
+        "grid",
+        [
+            Variable(name, IntegerRangeDomain(0, top), process="p")
+            for name in ("x", "y")
+        ],
+        [
+            Action(
+                f"dec-{name}",
+                Predicate(
+                    lambda s, name=name: s[name] > 0,
+                    name=f"{name} > 0",
+                    support=(name,),
+                ),
+                Assignment({name: lambda s, name=name: s[name] - 1}),
+                reads=(name,),
+                process="p",
+            )
+            for name in ("x", "y")
+        ],
+    )
+
+
+@needs_numpy
+def test_leaf_raising_partway_through_tabulation_refuses(monkeypatch):
+    program = _grid()
+    invariant = Predicate(
+        lambda s: s["x"] == 0 and s["y"] == 0, name="origin", support=("x", "y")
+    )
+    guard = Predicate(
+        lambda s: (s["x"], s["y"]) != (2, 1), name="not (2, 1)", support=("x", "y")
+    )
+
+    def risky(s):
+        if (s["x"], s["y"]) == (2, 1):
+            raise ValueError("undefined at (2, 1)")
+        return s["x"] <= s["y"] + 2
+
+    # The scalar sweep short-circuits past ``risky`` where it raises; the
+    # whole-space tabulation reaches that key (9 of 16) and must refuse.
+    span = guard & Predicate(risky, name="risky", support=("x", "y"))
+    with pytest.raises(sweeps.SweepUnsupported, match="during tabulation"):
+        sweeps.SweepPlan(compile_program(program), invariant, span)
+    _force_scalar(monkeypatch)
+    scalar = _packed_report(program, invariant, span)
+    _force_vectorized(monkeypatch)
+    assert _packed_report(program, invariant, span) == scalar
+    assert _packed_report(program, invariant, span, shards=3) == scalar
+
+
+@needs_numpy
+def test_refused_actions_skip_leaf_tabulation():
+    calls = []
+    inc = Action(
+        "inc",
+        Predicate(lambda s: True, name="true", support=()),
+        Assignment({"n": lambda s: s["n"] + 1}),
+        reads=("n",),
+        process="p",
+    )
+    # ``m`` widens the space so ``inc`` compiles to a successor table.
+    program = Program(
+        "overflowing",
+        [
+            Variable("n", IntegerRangeDomain(0, 3), process="p"),
+            Variable("m", IntegerRangeDomain(0, 15), process="p"),
+        ],
+        [inc],
+    )
+    kernel = compile_program(program)
+    assert kernel.modes()["table"] == 1
+    counted = Predicate(
+        lambda s: calls.append(s) or s["n"] <= 3, name="n <= 3", support=("n",)
+    )
+    # The raw successor is refused while the actions are laid out, before
+    # any predicate is probed or tabulated.
+    with pytest.raises(sweeps.SweepUnsupported, match="out-of-domain"):
+        sweeps.SweepPlan(kernel, counted, counted)
+    assert calls == []
 
 
 @needs_numpy
