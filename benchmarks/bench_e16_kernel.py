@@ -34,7 +34,8 @@ import time
 
 from repro.analysis import render_table
 from repro.core.predicates import TRUE
-from repro.kernel import sweeps
+from repro.kernel import compile_program, sweeps
+from repro.kernel.verify import _scalar_route
 from repro.protocols.diffusing import build_diffusing_design
 from repro.protocols.library import build_case, case_names
 from repro.protocols.spanning_tree import spanning_tree_stair
@@ -197,23 +198,21 @@ def test_e16_kernel_speedup(benchmark, report, bench_timings):
 
 
 def _scalar_vs_vectorized(program, invariant, fault_span, *, shards=None):
-    """Cold scalar-sweep and vectorized-sweep packed verifications."""
-    threshold = sweeps.VECTOR_MIN_STATES
-    try:
-        sweeps.VECTOR_MIN_STATES = 1 << 62  # force the scalar sweep
-        started = time.perf_counter()
-        scalar_report = check_tolerance(
-            program, invariant, fault_span, engine="packed"
-        )
-        scalar_seconds = time.perf_counter() - started
-        sweeps.VECTOR_MIN_STATES = 0  # force the vectorized sweep
-        started = time.perf_counter()
-        vector_report = check_tolerance(
-            program, invariant, fault_span, engine="packed", shards=shards
-        )
-        vector_seconds = time.perf_counter() - started
-    finally:
-        sweeps.VECTOR_MIN_STATES = threshold
+    """Cold scalar-route and vectorized-sweep packed verifications.
+
+    The scalar column runs the scalar route directly on the full space:
+    the same loop a numpy-free or refused instance runs.
+    """
+    started = time.perf_counter()
+    scalar_report = _scalar_route(
+        compile_program(program), invariant, fault_span, None, fairness="weak"
+    )
+    scalar_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    vector_report = check_tolerance(
+        program, invariant, fault_span, engine="packed", shards=shards
+    )
+    vector_seconds = time.perf_counter() - started
     assert vector_report == scalar_report, "sweeps disagree"
     return scalar_seconds, vector_seconds
 

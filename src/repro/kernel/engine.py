@@ -20,7 +20,6 @@ pass that never looks at a state never builds one.
 
 from __future__ import annotations
 
-import itertools
 import time
 from array import array
 from collections.abc import Iterable, Sequence
@@ -161,28 +160,14 @@ class PackedKernel:
         """A ``values -> bool`` evaluator for ``predicate``."""
         return compile_predicate_fn(predicate, self.codec, self.view)
 
-    def iter_space(self):
-        """Yield ``(code, digits, values)`` over the full space in code order.
-
-        Codes count ``0 .. size-1`` — the codec's digit layout matches
-        :func:`~repro.core.state.enumerate_states`, so no state is ever
-        encoded or decoded here; two lockstep ``itertools.product``
-        drives supply the digit and value tuples directly.
-        """
-        digit_ranges = [range(radix) for radix in self.codec.radices]
-        pairs = zip(
-            itertools.product(*digit_ranges),
-            itertools.product(*self.codec.domain_values),
-        )
-        return ((code, digits, values) for code, (digits, values) in enumerate(pairs))
-
     def iter_range(self, lo: int, hi: int):
         """Yield ``(code, digits, values)`` over ``lo .. hi-1`` in code order.
 
-        The contiguous-range counterpart of :meth:`iter_space` for shard
-        workers: one decode seeds an :func:`odometer` over every position
-        at ``lo`` (the yielded lists are shared and mutated between
-        yields, exactly like the compiled actions expect).
+        One decode seeds an :func:`odometer` over every position at
+        ``lo``, so no state is encoded or decoded per step; the scalar
+        route feeds it the whole space, shard workers one range. The
+        yielded lists are shared and mutated between yields, which the
+        compiled actions expect (a raw successor copies ``values``).
         """
         codec = self.codec
         return odometer(

@@ -61,7 +61,6 @@ __all__ = [
     "MAX_PEEL_STATES",
     "SweepUnsupported",
     "SweepPlan",
-    "VECTOR_MIN_STATES",
     "BadRegionPeel",
     "bad_region_acyclic",
     "closure_scan",
@@ -72,15 +71,10 @@ __all__ = [
     "peel_residue",
     "peel_shard_edges",
     "reverse_csr",
-    "vectorizable",
 ]
 
-#: Whether numpy was importable; without it the scalar sweep is used.
+#: Whether numpy was importable; without it the scalar route is used.
 HAVE_NUMPY = _np is not None
-
-#: Below this state count the scalar sweep wins (numpy's fixed per-array
-#: overhead dominates); tests force the vectorized path by lowering it.
-VECTOR_MIN_STATES = 1024
 
 #: An action whose read projection exceeds this is not laid out as flat
 #: arrays (enumerating it would cost as much as the scalar sweep).
@@ -105,11 +99,6 @@ class SweepUnsupported(Exception):
     Raised during planning or sweeping; callers catch it and fall back
     to the scalar packed sweep, which handles every instance.
     """
-
-
-def vectorizable(size: int) -> bool:
-    """Whether the vectorized sweep should be attempted at all."""
-    return HAVE_NUMPY and size >= VECTOR_MIN_STATES
 
 
 def _require_numpy() -> None:

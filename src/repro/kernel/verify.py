@@ -5,20 +5,21 @@
 verdicts, same closure witnesses in the same order, same error messages
 — but runs on packed codes:
 
-- With ``states=None`` (the common service path) the full state space is
-  swept **once**: one pass computes the ``S``/``T`` membership masks and
-  the complete successor graph as flat arrays. The dict engine walks the
-  space four times (implication, two closures, span construction) and
-  re-executes every action per walk.
-- Both closure checks then run over the cached graph without calling a
-  single guard again, and the ``T``-span transition system handed to the
-  convergence checker is carved out of the same arrays.
-
-With numpy available, full-space sweeps of large instances dispatch to
-the vectorized kernel (:mod:`repro.kernel.sweeps`, optionally sharded
-over a process pool via :mod:`repro.kernel.shard`); instances outside
-the vectorized fragment — and every run without numpy — take the scalar
-loop below, whose results the vectorized path reproduces bit-for-bit.
+- With ``states=None`` (the common service path) and numpy installed,
+  the full space goes to the vectorized sweep
+  (:mod:`repro.kernel.sweeps`, optionally sharded over a process pool
+  via :mod:`repro.kernel.shard`, or the streaming count-only sweep
+  under ``memory_budget=``). One pass computes the ``S``/``T``
+  membership masks and the complete successor graph as flat arrays;
+  the dict engine walks the space four times (implication, two
+  closures, span construction) and re-executes every action per walk.
+- Explicit state sets, and the full space when numpy is missing or the
+  instance falls outside the vectorized fragment, take the scalar
+  route: one per-state loop builds the same masks and graph, the
+  closure checks run over it without calling a guard again, and the
+  ``T``-span handed to the convergence checker is carved out of the
+  same arrays. The vectorized sweep reproduces its reports
+  bit-for-bit.
 
 Successor values that leave their variable's domain are kept as raw
 :class:`State` markers inside the graph so closure witnesses and escape
@@ -83,17 +84,6 @@ class _PackedGraph:
         self.action_ids = array("h")
         self.raws: list[State] = []
 
-    def append_successor(self, successor, action_id: int) -> None:
-        if type(successor) is int:
-            self.entries.append(successor)
-        else:
-            self.entries.append(-len(self.raws) - 1)
-            self.raws.append(successor)
-        self.action_ids.append(action_id)
-
-    def close_row(self) -> None:
-        self.offsets.append(len(self.entries))
-
 
 def check_tolerance_packed(
     program: Program,
@@ -121,7 +111,8 @@ def check_tolerance_packed(
         shards: Shard count for the vectorized full-space sweep
             (``None`` = auto heuristic, see
             :func:`~repro.kernel.shard.plan_shards`). Sharding never
-            changes results; it is ignored on the scalar fallback paths.
+            changes results, nor which route runs; explicit state sets
+            and the scalar fallback ignore it.
         memory_budget: Peak-bytes target for the vectorized full-space
             sweep. When the materialized CSR estimate exceeds it, the
             streaming count-only verdict path runs instead (peak memory
@@ -129,7 +120,7 @@ def check_tolerance_packed(
             sweep the moment a witness must be decoded. Never changes
             results — it is a memory/latency trade, so it is *not* part
             of any cache key. ``None`` (the default) never streams;
-            scalar paths ignore it.
+            explicit state sets and the scalar fallback ignore it.
 
     Raises:
         PackedUnsupported: if the program or a supplied state cannot be
@@ -137,15 +128,14 @@ def check_tolerance_packed(
     """
     kernel = compile_program(program, tracer=tracer, metrics=metrics)
     table_entries_before = kernel.table_entries() if metrics is not None else 0
-    codec = kernel.codec
     if states is None:
         # Same guard (comparison and message) as ``enumerate_states`` on
         # the dict path, with the caller's limit threaded through.
+        size = kernel.codec.size
         limit = DEFAULT_MAX_STATES if max_states is None else max_states
-        if codec.size > limit:
+        if size > limit:
             raise StateSpaceTooLargeError(
-                f"state space has {codec.size} states, above the limit of "
-                f"{limit}"
+                f"state space has {size} states, above the limit of {limit}"
             )
         report = _vectorized_full_space(
             kernel,
@@ -159,10 +149,50 @@ def check_tolerance_packed(
             metrics=metrics,
         )
         if report is not None:
-            _note_sweep_metrics(
-                kernel, metrics, table_entries_before, codec.size
-            )
+            _note_sweep_metrics(kernel, metrics, table_entries_before, size)
             return report
+    return _scalar_route(
+        kernel,
+        invariant,
+        fault_span,
+        states,
+        fairness=fairness,
+        tracer=tracer,
+        metrics=metrics,
+        table_entries_before=table_entries_before,
+    )
+
+
+def _scalar_route(
+    kernel: PackedKernel,
+    invariant: Predicate,
+    fault_span: Predicate,
+    states: Iterable[State] | None,
+    *,
+    fairness: str,
+    tracer=None,
+    metrics=None,
+    table_entries_before: int = 0,
+) -> ToleranceReport:
+    """The per-state packed sweep over ``states`` (``None``: full space).
+
+    Serves explicit state sets, and the full space when numpy is absent
+    or the instance falls outside the vectorized fragment. One loop
+    computes the ``S``/``T`` masks and the successor graph; the closure
+    walks and the ``T``-span carve then read the cached arrays. The two
+    feeds differ only in how a state's position relates to its code:
+
+    - the full space is an :func:`~repro.kernel.engine.odometer` over
+      codes ``0 .. size-1`` (nothing is encoded or decoded), so a
+      position *is* its code;
+    - an explicit set is encoded once and resolved through a
+      last-occurrence-wins ``{code: position}`` index, exactly like the
+      dict engine's ``{state: position}`` map. A successor outside the
+      set has no position: its membership is evaluated on demand and a
+      ``T``-state stepping to it is an escape.
+    """
+    codec = kernel.codec
+    program = kernel.program
     s_fn = kernel.predicate_fn(invariant)
     # TRUE is the stabilization fault-span; skip 1 call/state for it.
     t_always = fault_span is TRUE
@@ -172,48 +202,15 @@ def check_tolerance_packed(
         for action_id, action in enumerate(kernel.actions)
     )
     names = kernel.action_names
-    graph = _PackedGraph(codec.size * max(1, len(kernel.actions)))
-    entries = graph.entries
-    entries_append = entries.append
-    ids_append = graph.action_ids.append
-    offsets_append = graph.offsets.append
-    raws = graph.raws
 
+    # ``index`` maps a code to its position; ``None`` is the identity.
+    index: dict[int, int] | None = None
     if states is None:
-        # Full space (scalar sweep): position == code, membership masks
-        # are per-code. The size guard already ran above.
-        count = codec.size
         state_list: list[State] | None = None
-        codes = None
-        s_mask = bytearray(count)
-        t_mask = bytearray(b"\x01") * count if t_always else bytearray(count)
-        for code, digits, values in kernel.iter_space():
-            if s_fn(values):
-                s_mask[code] = 1
-            if not t_always and t_fn(values):
-                t_mask[code] = 1
-            for action_id, successor_fn in successor_fns:
-                successor = successor_fn(code, digits, values)
-                if successor is None:
-                    continue
-                if type(successor) is int:
-                    entries_append(successor)
-                else:
-                    entries_append(-len(raws) - 1)
-                    raws.append(successor)
-                ids_append(action_id)
-            offsets_append(len(entries))
-
-        def position_state(position: int) -> State:
-            return codec.decode_state(position)
-
-        def code_of(position: int) -> int:
-            return position
-
-        def code_holds(mask, memo, fn, code: int) -> bool:
-            return bool(mask[code])
-
-        s_memo = t_memo = None
+        count = codec.size
+        codes: Sequence[int] = range(count)
+        feed = kernel.iter_range(0, count)
+        position_state = codec.decode_state
     else:
         state_list = list(states)
         codes = array(
@@ -221,45 +218,35 @@ def check_tolerance_packed(
             (codec.encode_state(state) for state in state_list),
         )
         count = len(codes)
-        s_mask = bytearray(count)
-        t_mask = bytearray(count)
-        # Successor codes may fall outside the supplied set; predicate
-        # values of such codes are memoized per code.
-        s_memo: dict[int, bool] = {}
-        t_memo: dict[int, bool] = {}
-        for position, code in enumerate(codes):
-            digits, values = kernel.analyze_code(code)
-            s_value = bool(s_fn(values))
-            t_value = True if t_always else bool(t_fn(values))
-            s_mask[position] = s_value
-            t_mask[position] = t_value
-            s_memo[code] = s_value
-            t_memo[code] = t_value
-            for action_id, successor_fn in successor_fns:
-                successor = successor_fn(code, digits, values)
-                if successor is None:
-                    continue
-                if type(successor) is int:
-                    entries_append(successor)
-                else:
-                    entries_append(-len(raws) - 1)
-                    raws.append(successor)
-                ids_append(action_id)
-            offsets_append(len(entries))
+        # A repeated state resolves to its last occurrence.
+        index = {code: position for position, code in enumerate(codes)}
+        feed = ((code, *kernel.analyze_code(code)) for code in codes)
+        position_state = state_list.__getitem__
 
-        def position_state(position: int) -> State:
-            return state_list[position]
-
-        def code_of(position: int) -> int:
-            return codes[position]
-
-        def code_holds(mask, memo, fn, code: int) -> bool:
-            try:
-                return memo[code]
-            except KeyError:
-                value = bool(fn(codec.decode_values(code)))
-                memo[code] = value
-                return value
+    graph = _PackedGraph(codec.size * max(1, len(kernel.actions)))
+    entries = graph.entries
+    entries_append = entries.append
+    ids_append = graph.action_ids.append
+    offsets_append = graph.offsets.append
+    raws = graph.raws
+    s_mask = bytearray(count)
+    t_mask = bytearray(b"\x01") * count if t_always else bytearray(count)
+    for position, (code, digits, values) in enumerate(feed):
+        if s_fn(values):
+            s_mask[position] = 1
+        if not t_always and t_fn(values):
+            t_mask[position] = 1
+        for action_id, successor_fn in successor_fns:
+            successor = successor_fn(code, digits, values)
+            if successor is None:
+                continue
+            if type(successor) is int:
+                entries_append(successor)
+            else:
+                entries_append(-len(raws) - 1)
+                raws.append(successor)
+            ids_append(action_id)
+        offsets_append(len(entries))
 
     offsets = graph.offsets
     action_ids = graph.action_ids
@@ -268,7 +255,7 @@ def check_tolerance_packed(
         t_mask[position] for position in range(count) if s_mask[position]
     )
 
-    def closure(mask, memo, fn, predicate: Predicate) -> ClosureResult:
+    def closure(mask, fn, predicate: Predicate) -> ClosureResult:
         checked = 0
         witnesses: list[ClosureWitness] = []
         for position in range(count):
@@ -278,7 +265,11 @@ def check_tolerance_packed(
             for k in range(offsets[position], offsets[position + 1]):
                 entry = entries[k]
                 if entry >= 0:
-                    if code_holds(mask, memo, fn, entry):
+                    target = entry if index is None else index.get(entry)
+                    if target is None:
+                        if fn(codec.decode_values(entry)):
+                            continue
+                    elif mask[target]:
                         continue
                     after = codec.decode_state(entry)
                 else:
@@ -306,7 +297,7 @@ def check_tolerance_packed(
             witnesses=tuple(witnesses),
         )
 
-    s_closure = closure(s_mask, s_memo, s_fn, invariant)
+    s_closure = closure(s_mask, s_fn, invariant)
     if t_always:
         # TRUE holds on every successor (raw or not): the walk cannot
         # produce a witness, and ``checked`` is the full state count.
@@ -314,7 +305,7 @@ def check_tolerance_packed(
             predicate_name=fault_span.name, ok=True, checked=count, witnesses=()
         )
     else:
-        t_closure = closure(t_mask, t_memo, t_fn, fault_span)
+        t_closure = closure(t_mask, t_fn, fault_span)
 
     # ------------------------------------------------------------------
     # Carve the T-span transition system out of the cached graph.
@@ -327,45 +318,25 @@ def check_tolerance_packed(
         ]
     span_count = len(span_positions)
 
-    if states is None:
-        # Full space: a successor code *is* a position, membership is a
-        # mask lookup.
-        span_index = None
-        if span_count == count:
-            span_of = None  # identity
-        else:
-            span_of = array(codec.code_typecode, [-1]) * count
-            for new_position, position in enumerate(span_positions):
-                span_of[position] = new_position
-
-        def span_target(entry_code: int) -> int | None:
-            if not t_mask[entry_code]:
-                return None
-            return entry_code if span_of is None else span_of[entry_code]
-
-    else:
-        # Subset: membership is "equals one of the supplied T-states",
-        # resolved through a last-occurrence-wins code index exactly
-        # like the dict engine's ``{state: position}`` map.
-        span_index = {}
-        for new_position, position in enumerate(span_positions):
-            span_index[codes[position]] = new_position
-
-        def span_target(entry_code: int) -> int | None:
-            return span_index.get(entry_code)
-
-    if states is None and span_count == count and not raws:
-        # Stabilizing full-space case: reuse the arrays wholesale.
-        span_codes = array(codec.code_typecode, range(count))
+    if state_list is None and span_count == count and not raws:
+        # Stabilizing full-space case: positions are codes and every
+        # successor stays inside the span, so reuse the arrays wholesale.
+        span_codes = array(codec.code_typecode, codes)
         span_offsets, span_targets, span_action_ids = offsets, entries, action_ids
         span_escapes: list[tuple[int, str, State]] = []
         span_states_preset = None
     else:
+        # A successor is a span edge when its position is a T-state;
+        # anything else (outside T, outside the supplied set, or out of
+        # its domain) is an escape.
+        span_of = array("q", [-1]) * count
+        for new_position, position in enumerate(span_positions):
+            span_of[position] = new_position
         span_codes = array(
             codec.code_typecode,
-            (code_of(position) for position in span_positions),
+            (codes[position] for position in span_positions),
         )
-        span_offsets = array(graph.offsets.typecode, [0])
+        span_offsets = array(offsets.typecode, [0])
         span_targets = array(codec.code_typecode)
         span_action_ids = array("h")
         span_escapes = []
@@ -378,9 +349,9 @@ def check_tolerance_packed(
             for k in range(offsets[position], offsets[position + 1]):
                 entry = entries[k]
                 if entry >= 0:
-                    target = span_target(entry)
-                    if target is not None:
-                        span_targets.append(target)
+                    target = entry if index is None else index.get(entry)
+                    if target is not None and span_of[target] >= 0:
+                        span_targets.append(span_of[target])
                         span_action_ids.append(action_ids[k])
                         continue
                     escape_state = codec.decode_state(entry)
@@ -578,10 +549,9 @@ def _vectorized_full_space(
 ) -> ToleranceReport | None:
     """The vectorized (optionally sharded) full-space sweep.
 
-    Returns ``None`` when the instance stays on the scalar sweep: numpy
-    missing, the space too small to pay numpy's fixed overhead (unless
-    sharding was requested explicitly), or any construct outside the
-    vectorized fragment (:class:`~repro.kernel.sweeps.SweepUnsupported`).
+    Returns ``None`` when the instance takes the scalar route instead:
+    numpy missing, or any construct outside the vectorized fragment
+    (:class:`~repro.kernel.sweeps.SweepUnsupported`).
     The produced report is bit-identical to the scalar sweep's — same
     verdicts, witness order, counterexamples and counts — which the
     differential suite pins.
@@ -597,8 +567,6 @@ def _vectorized_full_space(
 
     size = kernel.codec.size
     if not sweeps.HAVE_NUMPY:
-        return None
-    if shards is None and size < sweeps.VECTOR_MIN_STATES:
         return None
     try:
         plan = sweeps.SweepPlan(

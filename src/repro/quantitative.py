@@ -358,11 +358,9 @@ def _full_space_graph(
 ) -> _Graph | None:
     """The vectorized (optionally sharded) full-space CSR, or ``None``.
 
-    Mirrors the kernel's sweep gating: numpy present, the space large
-    enough to amortize numpy's fixed overhead (unless ``shards`` was
-    requested explicitly), and every construct inside the vectorized
-    fragment — anything else returns ``None`` and the caller builds the
-    system through the ordinary engines. The produced masks and CSR are
+    Mirrors the kernel's sweep gating: numpy present and every construct
+    inside the vectorized fragment — anything else returns ``None`` and
+    the caller builds the system through the ordinary engines. The produced masks and CSR are
     bit-identical to the scalar build (the kernel differential suite
     pins the sweep; this module's suite pins the solve).
     """
@@ -376,8 +374,6 @@ def _full_space_graph(
         return None
     kernel = compile_program(program)
     size = kernel.codec.size
-    if shards is None and size < sweeps.VECTOR_MIN_STATES:
-        return None
     try:
         plan = sweeps.SweepPlan(
             kernel, target, None if span is TRUE else span

@@ -151,11 +151,15 @@ def _check_tolerance(
             both engines with identical comparisons and messages, so
             dict and packed agree — verdict or error — at the boundary.
         shards: Shard count for the packed engine's vectorized full-space
-            sweep (``None`` = auto). Never changes results.
+            sweep (``None`` = auto). Never changes results or the route;
+            explicit ``states``, the scalar fallback and the dict engine
+            ignore it.
         memory_budget: Peak-bytes target for the packed engine's
-            full-space sweep; above it the streaming count-only path
-            runs (see :func:`~repro.kernel.verify.check_tolerance_packed`).
-            Never changes results; ignored by the dict engine.
+            vectorized full-space sweep; above it the streaming
+            count-only path runs (see
+            :func:`~repro.kernel.verify.check_tolerance_packed`). Never
+            changes results; explicit ``states``, the scalar fallback
+            and the dict engine ignore it.
         engine: ``"packed"`` runs the flat-array kernel
             (:mod:`repro.kernel`) and raises
             :class:`~repro.kernel.codec.PackedUnsupported` when the

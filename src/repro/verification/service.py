@@ -551,12 +551,15 @@ class VerificationService:
             shards: Shard count for the packed engine's vectorized
                 full-space sweep; ``None`` picks automatically (one shard
                 until the space is large enough to amortize worker
-                startup). Sharded and unsharded runs are bit-identical,
-                so this is not part of the cache key either.
+                startup). It never changes which route runs, and explicit
+                ``states`` and the scalar fallback ignore it. Sharded and
+                unsharded runs are bit-identical, so this is not part of
+                the cache key either.
             memory_budget: Peak-bytes target for the packed engine's
-                full-space sweep; above it the streaming count-only path
-                runs (see
-                :func:`~repro.kernel.verify.check_tolerance_packed`).
+                vectorized full-space sweep; above it the streaming
+                count-only path runs (see
+                :func:`~repro.kernel.verify.check_tolerance_packed`);
+                explicit ``states`` and the scalar fallback ignore it.
                 Like ``shards``, it is a memory/latency trade that never
                 changes verdicts, so it is not part of the cache key.
             quantify: Also run the quantitative tolerance analysis

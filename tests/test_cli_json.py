@@ -9,6 +9,7 @@ argparse entry point.
 import json
 
 from repro.cli import main
+from repro.kernel.sweeps import HAVE_NUMPY
 
 VERIFY_RECORD_KEYS = {
     "case",
@@ -168,11 +169,13 @@ class TestVerifyJson:
         assert f"trace written to {trace}" in out
         assert "cache.miss" in out  # the --metrics report
         events = [json.loads(line) for line in trace.read_text().splitlines()]
-        # auto engine resolves to packed, so the kernel compilation and
+        # auto engine resolves to packed, so the kernel compilation,
+        # full-space sweep (vectorized when numpy is installed) and
         # memory-accounting events accompany the cache miss.
         assert [event["kind"] for event in events] == [
             "cache.miss",
             "kernel.build",
+            *(["kernel.sweep.vectorized"] if HAVE_NUMPY else []),
             "kernel.mem.sweep",
         ]
         assert all({"seq", "time", "kind"} <= set(event) for event in events)

@@ -191,7 +191,7 @@ class TestCompiledSuccessors:
         program = _two_var_program()
         kernel = compile_program(program)
         codec = kernel.codec
-        for code, digits, values in kernel.iter_space():
+        for code, digits, values in kernel.iter_range(0, codec.size):
             state = codec.decode_state(code)
             for action, compiled in zip(program.actions, kernel.actions):
                 successor = compiled.successor(code, list(digits), list(values))

@@ -155,7 +155,7 @@ class TestPeelShardEdges:
             0, 2, [True, True], [(0, 1), (1, 5)]
         )
         assert not resolved.any()
-        assert len(sources) == 2
+        assert sorted(zip(sources.tolist(), sinks.tolist())) == [(0, 1), (1, 5)]
 
     def test_drained_suffix_filters_kept_edges(self):
         # 2 peels (no out-edges), then 1, then 0: the kept list is empty
@@ -170,6 +170,20 @@ class TestPeelShardEdges:
             10, 13, [True, True, True], [(10, 11), (11, 12)]
         )
         assert resolved.all()
+        assert sources.size == 0 and sinks.size == 0
+
+    def test_nonzero_lo_keeps_edges_in_global_codes(self):
+        # A 10 <-> 11 cycle, and 11 -> 20 leaves the shard 10..12; only
+        # the edge-free 12 peels.
+        resolved, sources, sinks = self._peel(
+            10, 13, [True, True, True], [(10, 11), (11, 10), (11, 20)]
+        )
+        assert resolved.tolist() == [False, False, True]
+        assert sorted(zip(sources.tolist(), sinks.tolist())) == [
+            (10, 11),
+            (11, 10),
+            (11, 20),
+        ]
 
 
 @needs_numpy
@@ -396,7 +410,6 @@ def test_narrow_csr_bit_identical_to_int64_baseline(name, monkeypatch):
 @pytest.mark.parametrize("name", case_names())
 def test_narrow_report_matches_int64_report(name, monkeypatch):
     program, invariant = build_case(name)
-    monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
     narrow = check_tolerance_packed(program, invariant, TRUE, shards=2)
     monkeypatch.setattr(sweeps, "FORCE_CODE_DTYPE", "int64")
     wide = check_tolerance_packed(program, invariant, TRUE, shards=2)
@@ -434,11 +447,6 @@ def _counter(hi=3) -> Program:
 @needs_numpy
 class TestStreamingVerdicts:
     """memory_budget=1 forces streaming; every report stays identical."""
-
-    @pytest.fixture(autouse=True)
-    def _vectorize(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
-        self.monkeypatch = monkeypatch
 
     def _both(self, program, invariant, fault_span, *, fairness="weak",
               shards=3):
@@ -585,17 +593,19 @@ class TestMemoryAccounting:
 
         program, invariant = build_case("coloring-chain", 5)
         metrics = MetricsRegistry()
-        check_tolerance_packed(program, invariant, TRUE, metrics=metrics)
+        # An explicit state set always takes the scalar route.
+        check_tolerance_packed(
+            program, invariant, TRUE, program.state_space(), metrics=metrics
+        )
         report = metrics.report()
         assert report.counters["kernel.mem.peak_bytes"] > 0
         assert report.counters["kernel.mem.code_bytes"] > 0
 
     @needs_numpy
-    def test_vectorized_path_emits_peak_bytes_and_transfer(self, monkeypatch):
+    def test_vectorized_path_emits_peak_bytes_and_transfer(self):
         from repro.observability.metrics import MetricsRegistry
         from repro.observability.tracer import Tracer
 
-        monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
         program, invariant = build_case("coloring-chain")
         metrics = MetricsRegistry()
         tracer = Tracer.buffered()

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.faults.injectors import corrupt_everything
+from repro.kernel.sweeps import HAVE_NUMPY
 from repro.faults.scenarios import ScheduledFaults
 from repro.observability import (
     CountingSink,
@@ -368,10 +369,15 @@ class TestServiceObservability:
         service.verify_tolerance(program, invariant, case="second")
         kinds = [event.kind for event in tracer.events]
         # The miss computes on the packed engine, so the one-time kernel
-        # compilation and memory-accounting events land between miss and
+        # compilation, the full-space sweep (vectorized when numpy is
+        # installed) and memory-accounting events land between miss and
         # hit.
         assert kinds == [
-            "cache.miss", "kernel.build", "kernel.mem.sweep", "cache.hit"
+            "cache.miss",
+            "kernel.build",
+            *(["kernel.sweep.vectorized"] if HAVE_NUMPY else []),
+            "kernel.mem.sweep",
+            "cache.hit",
         ]
         assert tracer.events[-1].fields["layer"] == "memory"
 

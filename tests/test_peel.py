@@ -31,7 +31,8 @@ from repro.core import (
 )
 from repro.core.predicates import TRUE
 from repro.kernel import sweeps
-from repro.kernel.verify import check_tolerance_packed
+from repro.kernel.engine import compile_program
+from repro.kernel.verify import _scalar_route, check_tolerance_packed
 from repro.protocols.token_ring import build_dijkstra_ring
 from repro.verification.checker import _check_tolerance as check_tolerance
 
@@ -239,8 +240,6 @@ def test_spaces_beyond_the_peel_limit_are_refused():
         )
     # 2**16 * (2**15 + 1) states: the plan refuses before any sweep, so
     # the kernel routes the instance to the scalar engines.
-    from repro.kernel import compile_program
-
     bump = Action(
         "bump",
         Predicate(lambda s: s["b"] < 1 << 15, name="b < 2**15", support=("b",)),
@@ -268,14 +267,20 @@ def test_spaces_beyond_the_peel_limit_are_refused():
 # ----------------------------------------------------------------------
 
 
-def _routes(program, invariant, fault_span, fairness, monkeypatch):
-    """The report of every full-space route, keyed by route."""
-    reports = {}
-    monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 1 << 62)
-    reports["scalar"] = check_tolerance_packed(
-        program, invariant, fault_span, fairness=fairness
+def _scalar_report(program, invariant, fault_span, *, fairness="weak"):
+    """The scalar route's report over the full space, called directly."""
+    return _scalar_route(
+        compile_program(program), invariant, fault_span, None, fairness=fairness
     )
-    monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
+
+
+def _routes(program, invariant, fault_span, fairness):
+    """The report of every full-space route, keyed by route."""
+    reports = {
+        "scalar": _scalar_report(
+            program, invariant, fault_span, fairness=fairness
+        )
+    }
     for route, options in (
         ("vectorized", {}),
         ("shards=3", {"shards": 3}),
@@ -295,9 +300,9 @@ def _assert_routes_agree(reports):
 
 @pytest.mark.parametrize("nodes,k", [(7, 5), (7, 4), (6, 4), (5, 3)])
 @pytest.mark.parametrize("fairness", ["weak", "none"])
-def test_failing_rings_agree_on_every_route(nodes, k, fairness, monkeypatch):
+def test_failing_rings_agree_on_every_route(nodes, k, fairness):
     program, invariant = build_dijkstra_ring(nodes, k)
-    reports = _routes(program, invariant, TRUE, fairness, monkeypatch)
+    reports = _routes(program, invariant, TRUE, fairness)
     _assert_routes_agree(reports)
     counterexample = reports["scalar"].convergence.counterexample
     assert counterexample is not None and counterexample.kind == "cycle"
@@ -362,9 +367,9 @@ def test_peel_shapes_residue():
 
 
 @pytest.mark.parametrize("fairness", ["weak", "none"])
-def test_peel_shapes_agree_on_every_route(fairness, monkeypatch):
+def test_peel_shapes_agree_on_every_route(fairness):
     program, invariant = _peel_shapes()
-    reports = _routes(program, invariant, TRUE, fairness, monkeypatch)
+    reports = _routes(program, invariant, TRUE, fairness)
     reports["dict"] = check_tolerance(
         program, invariant, TRUE, fairness=fairness, engine="dict"
     )

@@ -5,10 +5,10 @@ Four layers:
 - unit tests for the array primitives in :mod:`repro.kernel.sweeps`
   (closure scan, deadlock scan, Kahn acyclicity peel, frontier BFS, CSR
   fragment merging) against hand-built CSR graphs;
-- differential tests pinning the vectorized full-space path (forced by
-  lowering ``VECTOR_MIN_STATES``) and the sharded path bit-identical to
-  the scalar packed sweep across the protocol library and crafted
-  failing instances;
+- differential tests pinning the vectorized full-space path and the
+  sharded path bit-identical to the scalar route (called directly on
+  the full space) and the dict engine across the protocol library,
+  tiny edge-case spaces and crafted failing instances;
 - whole-space predicate leaves: stair-step fault spans agree on every
   route, projections enumerate in key order, and a leaf that raises
   while tabulated is refused;
@@ -43,7 +43,7 @@ from repro.protocols.spanning_tree import spanning_tree_stair
 from repro.topology import path_graph
 from repro.verification.checker import _check_tolerance as check_tolerance
 
-from tests.test_peel import _assert_routes_agree, _routes
+from tests.test_peel import _assert_routes_agree, _routes, _scalar_report
 
 needs_numpy = pytest.mark.skipif(
     not sweeps.HAVE_NUMPY, reason="numpy is not installed"
@@ -180,14 +180,6 @@ class TestPlanShards:
 # ----------------------------------------------------------------------
 
 
-def _force_vectorized(monkeypatch):
-    monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 0)
-
-
-def _force_scalar(monkeypatch):
-    monkeypatch.setattr(sweeps, "VECTOR_MIN_STATES", 1 << 62)
-
-
 def _packed_report(program, invariant, fault_span, *, fairness="weak", **kw):
     return check_tolerance_packed(
         program, invariant, fault_span, fairness=fairness, **kw
@@ -197,24 +189,25 @@ def _packed_report(program, invariant, fault_span, *, fairness="weak", **kw):
 @needs_numpy
 @pytest.mark.parametrize("name", case_names())
 @pytest.mark.parametrize("fairness", ["weak", "none"])
-def test_library_vectorized_matches_scalar(name, fairness, monkeypatch):
+def test_library_vectorized_matches_scalar(name, fairness):
     program, invariant = build_case(name)
-    _force_scalar(monkeypatch)
-    scalar = _packed_report(program, invariant, TRUE, fairness=fairness)
-    _force_vectorized(monkeypatch)
+    scalar = _scalar_report(program, invariant, TRUE, fairness=fairness)
     vectorized = _packed_report(program, invariant, TRUE, fairness=fairness)
     sharded = _packed_report(
         program, invariant, TRUE, fairness=fairness, shards=3
     )
+    dict_report = check_tolerance(
+        program, invariant, TRUE, fairness=fairness, engine="dict"
+    )
     assert vectorized == scalar
     assert sharded == scalar
+    assert dict_report == scalar
 
 
 @needs_numpy
 @pytest.mark.parametrize("name", case_names())
-def test_library_sharded_matches_unsharded(name, monkeypatch):
+def test_library_sharded_matches_unsharded(name):
     program, invariant = build_case(name)
-    _force_vectorized(monkeypatch)
     unsharded = _packed_report(program, invariant, TRUE, shards=1)
     sharded = _packed_report(program, invariant, TRUE, shards=4)
     assert sharded == unsharded
@@ -244,16 +237,10 @@ def _counter(hi=3) -> Program:
 class TestFailingVerdictsVectorized:
     """Counterexample paths: witnesses, deadlocks, cycles, open spans."""
 
-    @pytest.fixture(autouse=True)
-    def _vectorize(self, monkeypatch):
-        self.monkeypatch = monkeypatch
-
     def _both(self, program, invariant, fault_span, *, fairness="weak"):
-        _force_scalar(self.monkeypatch)
-        scalar = _packed_report(
+        scalar = _scalar_report(
             program, invariant, fault_span, fairness=fairness
         )
-        _force_vectorized(self.monkeypatch)
         vectorized = _packed_report(
             program, invariant, fault_span, fairness=fairness
         )
@@ -334,10 +321,10 @@ class TestFailingVerdictsVectorized:
 
 
 @needs_numpy
-def test_raw_successors_fall_back_to_scalar(monkeypatch):
+def test_raw_successors_fall_back_to_scalar():
     # The increment overflows its domain: raw successor states are
-    # outside the vectorized fragment, so forcing vectorization must
-    # still produce the scalar sweep's exact witnesses.
+    # outside the vectorized fragment, so the full-space check must
+    # still produce the scalar route's exact witnesses.
     inc = Action(
         "inc",
         Predicate(lambda s: True, name="true", support=()),
@@ -349,24 +336,128 @@ def test_raw_successors_fall_back_to_scalar(monkeypatch):
         "overflowing", [Variable("n", IntegerRangeDomain(0, 3), process="p")], [inc]
     )
     span = Predicate(lambda s: s["n"] <= 3, name="n <= 3", support=("n",))
-    _force_scalar(monkeypatch)
-    scalar = _packed_report(program, FALSE, span)
-    _force_vectorized(monkeypatch)
+    scalar = _scalar_report(program, FALSE, span)
     vectorized = _packed_report(program, FALSE, span)
     assert vectorized == scalar
     assert vectorized.t_closure.witnesses[0].after == State({"n": 4})
 
 
 @needs_numpy
-def test_opaque_predicate_without_support_falls_back(monkeypatch):
+def test_opaque_predicate_without_support_falls_back():
     program = _counter()
     # No declared support and no symbolic source: the mask compiler must
     # refuse, and the scalar sweep must give the same report.
     opaque = Predicate(lambda s: s["n"] == 0, name="opaque")
-    _force_scalar(monkeypatch)
-    scalar = _packed_report(program, opaque, TRUE)
-    _force_vectorized(monkeypatch)
+    scalar = _scalar_report(program, opaque, TRUE)
     assert _packed_report(program, opaque, TRUE) == scalar
+
+
+# ----------------------------------------------------------------------
+# Tiny spaces: every full-space verdict takes the vectorized sweep
+# ----------------------------------------------------------------------
+
+
+def _countdown(actions=True) -> Program:
+    dec = Action(
+        "dec",
+        Predicate(lambda s: s["n"] > 0, name="n > 0", support=("n",)),
+        Assignment({"n": lambda s: s["n"] - 1}),
+        reads=("n",),
+        process="p",
+    )
+    return Program(
+        "countdown" if actions else "idle",
+        [Variable("n", IntegerRangeDomain(0, 3), process="p")],
+        [dec] if actions else [],
+    )
+
+
+def _is(variable: str, value: int) -> Predicate:
+    return Predicate(
+        lambda s: s[variable] == value,
+        name=f"{variable} = {value}",
+        support=(variable,),
+    )
+
+
+def _one_state() -> Program:
+    stay = Action(
+        "stay",
+        Predicate(lambda s: True, name="true", support=()),
+        Assignment({"x": 0}),
+        reads=("x",),
+        process="p",
+    )
+    return Program(
+        "one-state", [Variable("x", IntegerRangeDomain(0, 0), process="p")], [stay]
+    )
+
+
+#: name -> (program, invariant, fault span, check options, sweep path).
+TINY_SPACES = {
+    "one-state": lambda: (_one_state(), _is("x", 0), TRUE, {}, "vectorized"),
+    # S is empty, so the lone state's self-loop is a bad cycle.
+    "one-state-bad-cycle": lambda: (_one_state(), FALSE, TRUE, {}, "vectorized"),
+    # No actions: every bad state is a deadlock (the first is n = 1).
+    "no-actions": lambda: (
+        _countdown(actions=False), _is("n", 0), TRUE, {}, "vectorized"
+    ),
+    "s-true": lambda: (_counter(), TRUE, TRUE, {}, "vectorized"),
+    "nonmasking-t": lambda: (
+        _countdown(),
+        _is("n", 0),
+        Predicate(lambda s: s["n"] <= 2, name="n <= 2", support=("n",)),
+        {},
+        "vectorized",
+    ),
+    "memory-budget": lambda: (
+        _countdown(), _is("n", 0), TRUE, {"memory_budget": 1}, "streaming"
+    ),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("fairness", ["weak", "none"])
+@pytest.mark.parametrize("name", sorted(TINY_SPACES))
+def test_tiny_space_reports_equal_scalar_and_dict(name, fairness):
+    from repro.observability.events import KERNEL_MEM
+    from repro.observability.tracer import Tracer
+
+    program, invariant, span, options, path = TINY_SPACES[name]()
+    tracer = Tracer.buffered()
+    swept = _packed_report(
+        program, invariant, span, fairness=fairness, tracer=tracer, **options
+    )
+    (memory,) = [event for event in tracer.events if event.kind == KERNEL_MEM]
+    assert memory.fields["path"] == path
+    scalar = _scalar_report(program, invariant, span, fairness=fairness)
+    dict_report = check_tolerance(
+        program, invariant, span, fairness=fairness, engine="dict"
+    )
+    assert swept == scalar
+    assert swept == dict_report
+
+
+@needs_numpy
+@pytest.mark.parametrize("fairness", ["weak", "none"])
+def test_tiny_space_verdicts(fairness):
+    def report(name):
+        program, invariant, span, options, _ = TINY_SPACES[name]()
+        return _packed_report(
+            program, invariant, span, fairness=fairness, **options
+        )
+
+    assert report("one-state").ok and report("one-state").total_states == 1
+    cycle = report("one-state-bad-cycle").convergence.counterexample
+    assert cycle.kind == "cycle" and cycle.states == (State({"x": 0}),)
+    deadlock = report("no-actions").convergence.counterexample
+    assert deadlock.kind == "deadlock"
+    assert deadlock.states == (State({"n": 1}),)
+    assert report("s-true").classification == "masking"
+    nonmasking = report("nonmasking-t")
+    assert nonmasking.ok and nonmasking.classification == "nonmasking"
+    assert nonmasking.convergence.span_states == 3
+    assert report("memory-budget").ok
 
 
 # ----------------------------------------------------------------------
@@ -383,10 +474,10 @@ def _stair_instance(nodes: int, step: int = 1):
 @needs_numpy
 @pytest.mark.parametrize("fairness", ["weak", "none"])
 @pytest.mark.parametrize("step", [1, 2, 3])
-def test_stair_span_routes_agree_on_a_short_path(fairness, step, monkeypatch):
+def test_stair_span_routes_agree_on_a_short_path(fairness, step):
     program, invariant, span = _stair_instance(4, step)
     assert set(span.support) == set(program.variables)
-    reports = _routes(program, invariant, span, fairness, monkeypatch)
+    reports = _routes(program, invariant, span, fairness)
     _assert_routes_agree(reports)
     assert reports["scalar"].ok
     assert reports["scalar"].classification == "nonmasking"
@@ -394,19 +485,18 @@ def test_stair_span_routes_agree_on_a_short_path(fairness, step, monkeypatch):
 
 @needs_numpy
 @pytest.mark.parametrize("fairness", ["weak", "none"])
-def test_span6_stair_span_is_vectorized(fairness, monkeypatch):
+def test_span6_stair_span_is_vectorized(fairness):
     from repro.observability.events import KERNEL_MEM, KERNEL_SWEEP
     from repro.observability.tracer import Tracer
 
     program, invariant, span = _stair_instance(6)
     # 7^6 = 117,649 entries: the whole space, one leaf table.
     assert compile_program(program).codec.size == 7**6
-    reports = _routes(program, invariant, span, fairness, monkeypatch)
+    reports = _routes(program, invariant, span, fairness)
     _assert_routes_agree(reports)
     assert reports["scalar"].ok
     assert not reports["scalar"].stabilizing
-    # At its size span6 takes the vectorized sweep unforced.
-    monkeypatch.undo()
+    # The full-space check takes the vectorized sweep.
     tracer = Tracer.buffered()
     traced = _packed_report(
         program, invariant, span, fairness=fairness, tracer=tracer
@@ -506,7 +596,7 @@ def _grid(top: int = 3) -> Program:
 
 
 @needs_numpy
-def test_leaf_raising_partway_through_tabulation_refuses(monkeypatch):
+def test_leaf_raising_partway_through_tabulation_refuses():
     program = _grid()
     invariant = Predicate(
         lambda s: s["x"] == 0 and s["y"] == 0, name="origin", support=("x", "y")
@@ -525,9 +615,7 @@ def test_leaf_raising_partway_through_tabulation_refuses(monkeypatch):
     span = guard & Predicate(risky, name="risky", support=("x", "y"))
     with pytest.raises(sweeps.SweepUnsupported, match="during tabulation"):
         sweeps.SweepPlan(compile_program(program), invariant, span)
-    _force_scalar(monkeypatch)
-    scalar = _packed_report(program, invariant, span)
-    _force_vectorized(monkeypatch)
+    scalar = _scalar_report(program, invariant, span)
     assert _packed_report(program, invariant, span) == scalar
     assert _packed_report(program, invariant, span, shards=3) == scalar
 
@@ -564,12 +652,11 @@ def test_refused_actions_skip_leaf_tabulation():
 
 
 @needs_numpy
-def test_sweep_events_and_counters(monkeypatch):
+def test_sweep_events_and_counters():
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.tracer import Tracer
 
     program, invariant = build_case("dijkstra-ring")
-    _force_vectorized(monkeypatch)
     tracer = Tracer.buffered()
     metrics = MetricsRegistry()
     check_tolerance_packed(
@@ -735,10 +822,9 @@ class TestBrokenPoolFallback:
 
 
 @needs_numpy
-def test_service_shards_do_not_change_record(monkeypatch):
+def test_service_shards_do_not_change_record():
     from repro.verification.service import VerificationService
 
-    _force_vectorized(monkeypatch)
     program, invariant = build_case("dijkstra-ring")
     plain = VerificationService().verify_tolerance(
         program, invariant, engine="packed", case="s"
@@ -754,12 +840,11 @@ def test_service_shards_do_not_change_record(monkeypatch):
 
 
 @needs_numpy
-def test_shards_hit_the_service_cache(monkeypatch, tmp_path):
+def test_shards_hit_the_service_cache(tmp_path):
     # shards= is deliberately NOT part of the cache key: a sharded run
     # re-answers an unsharded run's cached verdict and vice versa.
     from repro.verification.service import VerificationService
 
-    _force_vectorized(monkeypatch)
     program, invariant = build_case("dijkstra-ring")
     service = VerificationService(cache_dir=str(tmp_path))
     first = service.verify_tolerance(
