@@ -54,7 +54,7 @@ class Predicate:
             extensionally identical to calling the predicate.
     """
 
-    __slots__ = ("_fn", "name", "support", "source", "parts")
+    __slots__ = ("_fn", "name", "support", "source", "parts", "_digest")
 
     def __init__(
         self,
@@ -70,6 +70,9 @@ class Predicate:
         self.support = frozenset(support) if support is not None else None
         self.source = source
         self.parts = parts
+        #: The structural digest, filled at first use by
+        #: :func:`repro.core.fingerprint.fingerprint_predicate`.
+        self._digest: str | None = None
 
     def __call__(self, state: State) -> bool:
         return bool(self._fn(state))

@@ -48,6 +48,13 @@ class Program:
                 raise ValueError(f"duplicate variable {variable.name!r}")
             self.variables[variable.name] = variable
         self.actions: tuple[Action, ...] = tuple(actions)
+        #: Memos filled at first use, on the assumption that a program
+        #: is never mutated: its structural digest
+        #: (:func:`repro.core.fingerprint.fingerprint_program`) and its
+        #: packed kernel (:func:`repro.kernel.compile_program`), which
+        #: dies with the program.
+        self._digest: str | None = None
+        self._kernel: Any = None
         names_seen: set[str] = set()
         for action in self.actions:
             if action.name in names_seen:

@@ -3,9 +3,9 @@
 :class:`PackedKernel` is a compiled form of one
 :class:`~repro.core.program.Program`: a :class:`StateCodec`, one
 :class:`~repro.kernel.compile.CompiledAction` per action, and shared
-evaluation scratch. Kernels are cached per program object (weakly, so
-they die with the program) because compilation pays a probe battery per
-action for the RW soundness gate.
+evaluation scratch. Kernels are cached on the program object they
+compile (so they die with it) because compilation pays a probe battery
+per action for the RW soundness gate.
 
 :class:`PackedTransitionSystem` is the flat-array counterpart of
 :class:`~repro.verification.explorer.TransitionSystem` and implements
@@ -24,7 +24,6 @@ import time
 from array import array
 from collections.abc import Iterable, Sequence
 from typing import Any
-from weakref import WeakKeyDictionary
 
 from repro.core.errors import StateSpaceTooLargeError, UnknownStateError
 from repro.core.predicates import Predicate
@@ -51,9 +50,6 @@ __all__ = [
 
 #: Packed codes live in ``array('q')`` buffers; larger spaces cannot.
 _MAX_CODE = 2**62
-
-#: Per-program kernel cache. Weak keys: a kernel dies with its program.
-_KERNELS: "WeakKeyDictionary[Program, PackedKernel]" = WeakKeyDictionary()
 
 
 def kernel_supported(program: Program) -> bool:
@@ -196,10 +192,9 @@ def compile_program(
         PackedUnsupported: if any domain is infinite or the space
             exceeds the 2^62 code range.
     """
-    kernel = _KERNELS.get(program)
+    kernel = program._kernel
     if kernel is None:
-        kernel = PackedKernel(program)
-        _KERNELS[program] = kernel
+        kernel = program._kernel = PackedKernel(program)
         if metrics is not None:
             metrics.timer("kernel.build").record(kernel.build_seconds)
         if tracer is not None:

@@ -346,6 +346,41 @@ def _graph_from_system(
     )
 
 
+def _nbytes(values: Any) -> int:
+    """Bytes of a numpy array or ``array.array``; 8 per item otherwise."""
+    nbytes = getattr(values, "nbytes", None)
+    if nbytes is not None:
+        return nbytes
+    return len(values) * getattr(values, "itemsize", 8)
+
+
+def _check_resident(
+    size: int, edges: int, array_bytes: int, memory_budget: int | None, metrics: Any
+) -> None:
+    """Refuse a solve whose resident footprint exceeds ``memory_budget``.
+
+    The footprint is the CSR and state masks (``array_bytes``) plus the
+    edge-source index and three float vectors. All of it must stay in
+    memory across sweeps, so a budget below it is a structured refusal,
+    not a streaming fallback.
+    """
+    resident = (
+        array_bytes
+        + 8 * edges  # edge-source index for the segment sums
+        + 8 * edges  # per-sweep gathered successor values
+        + 3 * 8 * size  # expectation, segment-sum and update vectors
+    )
+    if metrics is not None:
+        metrics.counter("quantitative.mem.bytes").add(resident)
+    if memory_budget is not None and resident > memory_budget:
+        raise QuantitativeUnsupported(
+            f"value iteration over {size} states / {edges} edges needs "
+            f"~{resident} resident bytes, above the {memory_budget}-byte "
+            "memory_budget; unlike the boolean sweep there is no "
+            "streaming variant — raise or drop the budget"
+        )
+
+
 def _full_space_graph(
     program: Program,
     target: Predicate,
@@ -383,30 +418,17 @@ def _full_space_graph(
     except sweeps.SweepUnsupported:
         return None
     s_mask, t_mask, offsets, targets, action_ids = merged
-    edges = int(offsets[-1])
-    # Resident footprint of the solve: the CSR plus the edge-source
-    # index and three float vectors — all must stay in memory across
-    # sweeps, so a budget below it is a structured refusal, not a
-    # streaming fallback.
-    resident = (
+    _check_resident(
+        size,
+        int(offsets[-1]),
         s_mask.nbytes
         + (0 if t_mask is None else t_mask.nbytes)
         + offsets.nbytes
         + targets.nbytes
-        + action_ids.nbytes
-        + 8 * edges  # edge-source index for the segment sums
-        + 8 * edges  # per-sweep gathered successor values
-        + 3 * 8 * size  # expectation, segment-sum and update vectors
+        + action_ids.nbytes,
+        memory_budget,
+        metrics,
     )
-    if metrics is not None:
-        metrics.counter("quantitative.mem.bytes").add(resident)
-    if memory_budget is not None and resident > memory_budget:
-        raise QuantitativeUnsupported(
-            f"value iteration over {size} states / {edges} edges needs "
-            f"~{resident} resident bytes, above the {memory_budget}-byte "
-            "memory_budget; unlike the boolean sweep there is no "
-            "streaming variant — raise or drop the budget"
-        )
     is_fault = [_is_fault_name(name, fault_actions) for name in kernel.action_names]
     fault_edge = (
         _np.asarray(is_fault, dtype=bool)[_np.asarray(action_ids)]
@@ -895,9 +917,10 @@ def quantify(
         tol: Relative convergence threshold of the value iteration.
         max_sweeps: Sweep cap; past it ``converged`` is ``False``.
         shards: Shard count for the vectorized full-space sweep.
-        memory_budget: Resident-bytes ceiling for the vectorized solve;
-            exceeding it raises :class:`QuantitativeUnsupported` (there
-            is no streaming value iteration).
+        memory_budget: Resident-bytes ceiling for a full-space solve,
+            vectorized or scalar; exceeding it raises
+            :class:`QuantitativeUnsupported` (there is no streaming
+            value iteration).
         system: Optional prebuilt transition system to share work.
         case: Display name recorded in the report.
         tracer: Optional tracer (emits ``quantitative.solve``).
@@ -917,7 +940,8 @@ def quantify(
     name = case if case is not None else program.name
 
     graph: _Graph | None = None
-    if system is None and states is None and engine != "dict":
+    full_space = system is None and states is None and engine != "dict"
+    if full_space:
         graph = _full_space_graph(
             program, invariant, span, fault_actions,
             shards=shards, memory_budget=memory_budget, metrics=metrics,
@@ -935,6 +959,18 @@ def quantify(
             )
         )
         graph = _graph_from_system(ts, invariant, span, fault_actions)
+        if full_space:
+            # The scalar full-space graph answers to the same budget.
+            _check_resident(
+                graph.n,
+                len(graph.targets),
+                graph.n * (1 if graph.in_span is None else 2)
+                + _nbytes(graph.offsets)
+                + _nbytes(graph.targets)
+                + _nbytes(getattr(ts, "action_ids", graph.targets)),
+                memory_budget,
+                metrics,
+            )
 
     doomed = _classify(graph)
     x_uniform, sweeps_uniform, conv_uniform, path = _solve(

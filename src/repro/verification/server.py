@@ -65,9 +65,14 @@ from repro.verification.service import (
     tolerance_fingerprint,
     validate_method,
 )
-from repro.verification.store import VerdictStore
+from repro.verification.store import LRUDict, VerdictStore
 
 __all__ = ["DaemonThread", "VerificationDaemon", "serve"]
+
+#: Request parameters whose cache keys a daemon remembers; beyond this
+#: the least recently used entry goes (every fresh ``fault_rate`` adds
+#: one).
+KEY_CACHE_CAPACITY = 1024
 
 #: Response keys the daemon adds to every verdict record it returns.
 PROVENANCE_KEYS = ("cached", "cache_layer", "call_seconds", "deduped")
@@ -185,9 +190,7 @@ class VerificationDaemon:
         self._started_monotonic = time.monotonic()
         #: (case, size, fairness, with_design, quantify, fault_rate)
         #: -> fingerprint dict.
-        self._key_cache: dict[
-            tuple[str, int, str, bool, bool, float], dict[str, str]
-        ] = {}
+        self._key_cache: LRUDict = LRUDict(KEY_CACHE_CAPACITY)
         self.requests = {
             "total": 0,
             "verify": 0,

@@ -8,11 +8,13 @@ within a process, across processes, and across sessions — is answered
 from the cache instead of recomputed:
 
 - instances are keyed by :func:`repro.core.fingerprint_instance`
-  (structure plus behavioural probe), so a cache entry survives
-  rebuilding the same protocol and is invalidated by any change to its
-  variables, domains, guards or statements;
-- **in-memory**: built :class:`TransitionSystem` objects and full
-  verdict reports are memoized per service instance;
+  (an exact structural digest, memoized on the program), so a cache
+  entry survives rebuilding the same protocol and is invalidated by any
+  change to its variables, domains, guards or statements; a state set
+  the caller does not label is keyed by its content;
+- **in-memory**: built :class:`TransitionSystem` objects, full verdict
+  reports and verdict records are memoized per service instance, each
+  tier an LRU bounded by a module-level capacity;
 - **on-disk** (optional ``cache_dir``): JSON verdict records persist
   across processes, which is what makes the parallel worker pool in
   :mod:`repro.verification.parallel` and cache-warm benchmark reruns
@@ -38,6 +40,7 @@ from repro.core.fingerprint import (
     fingerprint_instance,
     fingerprint_predicate,
     fingerprint_program,
+    fingerprint_states,
 )
 from repro.core.predicates import TRUE, Predicate
 from repro.core.program import Program
@@ -53,7 +56,7 @@ from repro.verification.explorer import (
     build_transition_system,
     validate_engine,
 )
-from repro.verification.store import VerdictStore
+from repro.verification.store import LRUDict, VerdictStore
 
 __all__ = [
     "METHODS",
@@ -65,6 +68,14 @@ __all__ = [
 
 #: Valid values of the ``method`` switch on :meth:`verify_tolerance`.
 METHODS = ("auto", "full", "compositional")
+
+#: Capacities of a service's in-memory tiers; beyond them the least
+#: recently used entry goes. Records are small JSON dicts (an evicted
+#: one comes back from the store, if there is one); reports carry
+#: witnesses; transition systems hold whole state spaces.
+RECORD_CAPACITY = 4096
+REPORT_CAPACITY = 256
+SYSTEM_CAPACITY = 16
 
 #: The historical liveness analysis moved to
 #: :mod:`repro.verification.liveness`; importing its names from this
@@ -126,6 +137,12 @@ def tolerance_fingerprint(
     )
 
 
+def _states_token(states: list[State], states_key: str | None) -> str:
+    """The key part naming a supplied state set: the caller's label, or
+    a digest of the content."""
+    return states_key if states_key is not None else fingerprint_states(states)
+
+
 def validate_method(method: str) -> None:
     """Raise :class:`~repro.core.errors.ValidationError` unless ``method``
     is one of :data:`METHODS`."""
@@ -142,7 +159,7 @@ class ServiceVerdict:
     ``record`` is the JSON-able verdict summary (the unit of caching);
     ``report`` is the full :class:`ToleranceReport` with witnesses and
     counterexamples, available unless the verdict came from the on-disk
-    cache of another process.
+    cache of another process or the report left the bounded report tier.
     """
 
     record: dict[str, Any]
@@ -336,9 +353,9 @@ class VerificationService:
         self.cache_dir = self.store.root if self.store is not None else None
         self.tracer = tracer
         self.metrics = metrics
-        self._records: dict[tuple[str, str], dict[str, Any]] = {}
-        self._reports: dict[str, ToleranceReport] = {}
-        self._systems: dict[str, TransitionSystem] = {}
+        self._records: LRUDict = LRUDict(RECORD_CAPACITY)
+        self._reports: LRUDict = LRUDict(REPORT_CAPACITY)
+        self._systems: LRUDict = LRUDict(SYSTEM_CAPACITY)
         self.hits = 0
         self.hits_memory = 0
         self.hits_disk = 0
@@ -513,9 +530,9 @@ class VerificationService:
             invariant: ``S``.
             fault_span: ``T``; defaults to ``TRUE`` (stabilization).
             states: The instance's state set; defaults to the full state
-                space. **Pass ``states_key`` whenever this is a proper
-                subset** — the default discriminator is only the set's
-                size, which cannot tell two different windows apart.
+                space. Without ``states_key`` the set is keyed by a
+                digest of its content, which costs one pass over it on
+                every call.
             fairness: Computation model for convergence.
             engine: ``"packed"``, ``"dict"`` or ``"auto"`` (see
                 :func:`~repro.verification.checker.check_tolerance`). The
@@ -537,7 +554,8 @@ class VerificationService:
                 ``design.program`` must be the same instance as
                 ``program``.
             case: Display name recorded in the verdict.
-            states_key: Cache discriminator for the state set.
+            states_key: Cache discriminator for the state set. The caller
+                vouches that equal labels mean equal sets.
             lint: Run the :mod:`repro.staticcheck` passes first and, on
                 any error-severity finding, short-circuit with a failed
                 verdict carrying the lint report under ``record["lint"]``
@@ -624,9 +642,7 @@ class VerificationService:
             extra = ("states=full",)
         else:
             state_list = list(states)
-            extra = (
-                states_key if states_key is not None else f"states=n{len(state_list)}",
-            )
+            extra = (_states_token(state_list, states_key),)
         name = case if case is not None else program.name
 
         if method != "full" and design is not None and not quantify:
@@ -856,13 +872,9 @@ class VerificationService:
         started = time.perf_counter()
         state_list = list(states)
         name = case if case is not None else design.name
-        tokens = [
-            fingerprint_program(design.program),
-            f"theorem={theorem}",
-            states_key if states_key is not None else f"states=n{len(state_list)}",
-        ]
+        tokens = [f"theorem={theorem}", _states_token(state_list, states_key)]
         tokens.extend(
-            fingerprint_predicate(c.predicate, design.program)
+            fingerprint_predicate(c.predicate)
             for c in design.candidate.constraints
         )
         key = fingerprint_instance(

@@ -22,6 +22,13 @@ module factors that layer into an explicit :class:`VerdictStore`:
   events and counters, surfaced through :meth:`stats` (and, in the
   daemon, through ``GET /stats`` and RunReports).
 
+A process-local key (:func:`repro.core.fingerprint.is_process_local`)
+names an object only the current process can identify, so the store
+neither writes nor reads it.
+
+:class:`LRUDict` is the bounded dict behind the warm tier, and behind
+the service's and the daemon's in-memory tiers.
+
 Writes are **atomic and crash-safe**: each record lands in a uniquely
 named temporary file in the target directory and is published with
 :func:`os.replace`, so a reader can never observe a partially written
@@ -35,21 +42,51 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any
 
+from repro.core.fingerprint import is_process_local
 from repro.observability import events as ev
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
 
-__all__ = ["VerdictStore"]
+__all__ = ["LRUDict", "VerdictStore"]
 
 #: Default shard count for daemon-grade stores (0 = flat compat layout).
 DEFAULT_SHARDS = 16
 
 #: Default decoded-record capacity of the warm tier.
 DEFAULT_WARM_CAPACITY = 128
+
+
+class LRUDict(OrderedDict):
+    """A dict of at most ``capacity`` entries.
+
+    Inserting beyond the capacity evicts the least recently used entry;
+    :meth:`get` and assignment refresh an entry's recency. Both are
+    atomic: the daemon's executor threads share one service.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+        self._lock = threading.Lock()
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        with self._lock:
+            if key not in self:
+                return default
+            self.move_to_end(key)
+            return self[key]
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        with self._lock:
+            super().__setitem__(key, value)
+            self.move_to_end(key)
+            while len(self) > self.capacity:
+                self.popitem(last=False)
 
 
 class VerdictStore:
@@ -98,7 +135,7 @@ class VerdictStore:
         #: (kind, key40) -> size in bytes, in LRU order (oldest first).
         self._index: OrderedDict[tuple[str, str], int] = OrderedDict()
         #: (kind, key40) -> decoded record, in LRU order (oldest first).
-        self._warm: OrderedDict[tuple[str, str], dict[str, Any]] = OrderedDict()
+        self._warm: LRUDict = LRUDict(max(warm_capacity, 0))
         self.hits_warm = 0
         self.hits_disk = 0
         self.misses = 0
@@ -201,12 +238,14 @@ class VerdictStore:
 
         Checks the warm tier first, then disk. A corrupt or truncated
         disk entry counts as a miss and is deleted — an interrupted
-        writer must never poison later reads.
+        writer must never poison later reads. A process-local key is
+        never looked up.
         """
+        if is_process_local(key):
+            return None
         entry = (kind, key[:40])
         record = self._warm.get(entry)
         if record is not None:
-            self._warm.move_to_end(entry)
             if entry in self._index:
                 self._index.move_to_end(entry)
             self._note_hit(kind, key, "warm")
@@ -230,19 +269,22 @@ class VerdictStore:
         else:
             self._index[entry] = len(text)
             self._bytes += len(text)
-        self._warm_insert(entry, record)
+        self._warm[entry] = record
         self._note_hit(kind, key, "disk")
         return record
 
-    def put(self, kind: str, key: str, record: dict[str, Any]) -> Path:
+    def put(self, kind: str, key: str, record: dict[str, Any]) -> Path | None:
         """Persist ``record`` under ``(kind, key)`` atomically.
 
         The record is serialized to a uniquely named temporary file in
         the destination directory and published with :func:`os.replace`
         — concurrent writers race benignly (last write wins, readers
         always see a complete entry) and an interrupted writer leaves
-        only a stray ``.tmp`` file, never a partial record.
+        only a stray ``.tmp`` file, never a partial record. A
+        process-local key is not written; the result is then ``None``.
         """
+        if is_process_local(key):
+            return None
         path = self.path(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(record, indent=2, sort_keys=True)
@@ -263,20 +305,12 @@ class VerdictStore:
         previous = self._index.pop(entry, 0)
         self._bytes += len(payload) - previous
         self._index[entry] = len(payload)
-        self._warm_insert(entry, record)
+        self._warm[entry] = record
         self.writes += 1
         if self.metrics is not None:
             self.metrics.counter("store.write").add()
         self._enforce_budget()
         return path
-
-    def _warm_insert(self, entry: tuple[str, str], record: dict[str, Any]) -> None:
-        if self.warm_capacity <= 0:
-            return
-        self._warm[entry] = record
-        self._warm.move_to_end(entry)
-        while len(self._warm) > self.warm_capacity:
-            self._warm.popitem(last=False)
 
     def _discard(self, entry: tuple[str, str], path: Path) -> None:
         size = self._index.pop(entry, 0)

@@ -1,4 +1,8 @@
-"""Unit tests for content-addressed program/instance fingerprints."""
+"""Unit tests for content-addressed program/instance fingerprints.
+
+The soundness contract (edit matrix, hash-seed stability, process-local
+keys) lives in ``tests/test_cache_keys.py``.
+"""
 
 from repro.core import (
     Action,
@@ -48,8 +52,8 @@ class TestProbeStates:
 class TestProgramFingerprint:
     def test_stable_across_rebuilds(self):
         # Rebuilding the identical program (fresh lambda objects) must
-        # hash to the same fingerprint — that is the whole point of the
-        # behavioural probe over object identity.
+        # hash to the same fingerprint — that is the whole point of a
+        # structural digest over object identity.
         assert fingerprint_program(make_counter()) == fingerprint_program(
             make_counter()
         )
@@ -66,7 +70,7 @@ class TestProgramFingerprint:
 
     def test_behaviour_change_detected(self):
         # Same variables, same action names and guards; only the reset
-        # assignment's *behaviour* differs.
+        # assignment's *behaviour* (a captured constant) differs.
         assert fingerprint_program(make_counter(reset_to=0)) != fingerprint_program(
             make_counter(reset_to=1)
         )
@@ -79,19 +83,13 @@ class TestProgramFingerprint:
 
 class TestPredicateFingerprint:
     def test_stable_across_rebuilds(self):
-        program = make_counter()
         again = Predicate(lambda s: s["n"] == 0, name="n = 0", support=("n",))
-        assert fingerprint_predicate(ZERO, program) == fingerprint_predicate(
-            again, program
-        )
+        assert fingerprint_predicate(ZERO) == fingerprint_predicate(again)
 
     def test_verdict_change_detected(self):
-        program = make_counter()
         one = Predicate(lambda s: s["n"] == 1, name="n = 0", support=("n",))
-        # Same display name, different verdicts on the probe battery.
-        assert fingerprint_predicate(ZERO, program) != fingerprint_predicate(
-            one, program
-        )
+        # Same display name, a different body.
+        assert fingerprint_predicate(ZERO) != fingerprint_predicate(one)
 
 
 class TestInstanceFingerprint:

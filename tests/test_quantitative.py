@@ -309,6 +309,13 @@ class TestShardedAndBudgeted:
         with pytest.raises(QuantitativeUnsupported, match="memory_budget"):
             quantify(program, invariant, shards=1, memory_budget=64)
 
+    def test_scalar_full_space_honours_the_budget(self, monkeypatch):
+        monkeypatch.setattr(quantitative, "FORCE_SCALAR", True)
+        program, invariant, _ = _case("dijkstra-ring", 3)
+        with pytest.raises(QuantitativeUnsupported, match="memory_budget"):
+            quantify(program, invariant, memory_budget=64)
+        assert quantify(program, invariant, memory_budget=10**9).path == "scalar"
+
     def test_dense_requires_numpy(self, monkeypatch):
         monkeypatch.setattr(quantitative, "_np", None)
         monkeypatch.setattr(quantitative, "HAVE_NUMPY", False)

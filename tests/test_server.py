@@ -439,6 +439,35 @@ class TestObservability:
 
 
 # ----------------------------------------------------------------------
+# Sound cache keys through the daemon
+# ----------------------------------------------------------------------
+
+
+class TestDaemonCacheKeys:
+    def test_reproducer_twin_misses(self, monkeypatch):
+        # Two cases whose programs differ only in a guard body, on states
+        # a fixed probe battery never visits (see tests/test_cache_keys.py).
+        from repro.protocols.library import CASES, VerificationCase
+        from tests.test_cache_keys import reproducer
+
+        for name, edited in (("reproducer", False), ("reproducer-edited", True)):
+            monkeypatch.setitem(CASES, name, VerificationCase(
+                name, "guard-body edit twin",
+                lambda size, edited=edited: reproducer(edited), 1,
+            ))
+        handle = DaemonThread(workers=1, batch_window=0.005).start()
+        try:
+            status, first = post(handle, "/verify", {"case": "reproducer"})
+            assert status == 200 and first["ok"] is True
+            status, second = post(handle, "/verify", {"case": "reproducer-edited"})
+            assert status == 200
+            assert second["cached"] is False
+            assert second["ok"] is False
+        finally:
+            handle.stop()
+
+
+# ----------------------------------------------------------------------
 # The sharded store behind the daemon
 # ----------------------------------------------------------------------
 
