@@ -14,15 +14,19 @@ graph behind the instance:
   write set, guard and statement;
 - **predicates** — name, support, the evaluation callable, and the DSL
   source and combinator parts when present;
-- **DSL expressions** (:mod:`repro.core.expr`) and every other object
-  with a ``__dict__`` or ``__slots__`` — hashed by their tree of
+- **DSL expressions** (:mod:`repro.core.expr`) and every other instance
+  of a Python class — hashed by their tree of slots and ``__dict__``
   attributes, so a changed constant or operator changes the digest;
+  Python subclasses of the builtin containers and primitives (named
+  tuples, ``Counter``, int enums) add the builtin value;
 - **opaque callables** — hashed by code: bytecode, names, constants,
   nested code, argument counts and flags, plus the closure cells,
-  defaults and keyword defaults, and the globals (and attributes of
-  global modules) the code names, with functions walked recursively.
-  File names, line numbers and whether the code is nested in another
-  function are left out, so moving a function keeps its digest.
+  defaults and keyword defaults, and the globals the code names, with
+  functions walked recursively. A module or Python class reached
+  through a global or a closure cell adds the attributes the code names
+  (``helpers.blocked``, ``Config.LIMIT``, ``Color.RED``). File names,
+  line numbers and whether the code is nested in another function are
+  left out, so moving a function keeps its digest.
 
 Digests are stable across processes and ``PYTHONHASHSEED`` values (pool
 workers and :class:`~repro.verification.store.VerdictStore` share them):
@@ -32,12 +36,17 @@ Every digest carries :data:`KEY_SCHEMA` and the interpreter's
 ``sys.implementation.cache_tag`` (bytecode differs between versions), so
 keys from an older scheme are never served.
 
-An object the encoder cannot walk — no ``__dict__`` or ``__slots__``, or
-a C-level layout it cannot see into (``random.Random``, numpy arrays),
-and not a primitive, container, function, builtin, type or module — gets
-a token from a process-wide counter. The digests that contain it start
-with :data:`PROCESS_LOCAL`: they still key the in-memory caches, but
-the store never writes or reads them (:func:`is_process_local`).
+Primitives, the builtin containers, functions, builtins, types, modules
+and the ``property``/``staticmethod``/``classmethod`` wrappers are read
+directly. Any other object whose class has something other than a
+Python class in its MRO — a static C type (``datetime.date``,
+``types.MappingProxyType``, ``collections.defaultdict``) or a heap type
+an extension builds (``functools.partial``, the base of
+``random.Random``, numpy arrays) — holds state the encoder cannot see,
+and so does a bare ``object()``. Such an object gets a token from a
+process-wide counter, and the digests that contain it start with
+:data:`PROCESS_LOCAL`: they still key the in-memory caches, but the
+store never writes or reads them (:func:`is_process_local`).
 
 Digests are memoized: on the :class:`~repro.core.program.Program` and
 the :class:`~repro.core.predicates.Predicate` (a slot), and per code
@@ -46,8 +55,10 @@ A program or predicate met inside a closure is encoded by its own
 digest, never through its attributes, so filling a memo cannot change a
 key. Known limits:
 
-- a captured class is named by module and qualified name only; its
-  methods are not hashed;
+- a class is named by module and qualified name, plus the attributes
+  code names when it reaches the class through a global or a closure
+  cell. The class of a captured instance, or a class inside a
+  container, is named only: its methods and constants are not hashed;
 - a digest is taken at first use: mutating a program, a closure cell or
   a global helper afterwards is not seen. The packed kernel caches its
   successor tables per program on the same immutability assumption.
@@ -63,6 +74,7 @@ import hashlib
 import inspect
 import itertools
 import random
+import struct
 import sys
 import types
 from collections.abc import Callable, Iterable
@@ -125,6 +137,21 @@ _PRIMITIVE_TYPES = tuple(_PRIMITIVES)
 
 #: Longest packed token kept inline; longer ones are hashed.
 _INLINE_LIMIT = 256
+
+#: Type flags (``Include/object.h``): a heap type, and instances whose
+#: ``__dict__`` or ``__weakref__`` live outside the fixed layout.
+_HEAPTYPE = 1 << 9
+_MANAGED_DICT = 1 << 4
+_MANAGED_WEAKREF = 1 << 3
+
+_POINTER = struct.calcsize("P")
+
+#: Builtins the encoder reads itself; a subclass walks as one of them
+#: plus its own slots and ``__dict__``.
+_BUILTIN_BASES = frozenset({object, list, tuple, dict, set, frozenset, *_PRIMITIVES})
+
+#: C-level descriptors that name one attribute of their owner.
+_DESCRIPTORS = (types.MemberDescriptorType, types.GetSetDescriptorType)
 
 _BUILTIN_CALLABLES = (
     types.BuiltinFunctionType,
@@ -210,31 +237,18 @@ def _qualified(obj: Any) -> str:
     return f"{getattr(obj, '__module__', None)}.{getattr(obj, '__qualname__', '?')}"
 
 
-def _const_token(value: Any) -> str:
-    """The token of one code constant (literals, tuples, frozensets, code)."""
-    kind = type(value)
-    if kind in _PRIMITIVES:
-        return f"{kind.__name__}:{value!r}"
-    if kind is tuple:
-        return _pack(["tuple", *[_const_token(item) for item in value]])
-    if kind is frozenset:
-        return _pack(["frozenset", *sorted([_const_token(item) for item in value])])
-    if kind is types.CodeType:
-        return "code:" + _code_info(value)[0]
-    return f"{kind.__name__}:{value!r}"
-
-
 def _code_info(code: types.CodeType) -> tuple[str, tuple[str, ...]]:
     """The digest of ``code`` and the sorted names it and its nested code use."""
     info = _CODE_INFO.get(code)
     if info is not None:
         return info
     names = set(code.co_names)
-    consts = []
     for const in code.co_consts:
         if type(const) is types.CodeType:
             names.update(_code_info(const)[1])
-        consts.append(_const_token(const))
+    # Constants are literals, tuples, frozensets and code: no cycles and
+    # nothing process-local, so a throwaway encoder gives their tokens.
+    encoder = _Encoder()
     tokens = [
         "code",
         code.co_code.hex(),
@@ -245,44 +259,72 @@ def _code_info(code: types.CodeType) -> tuple[str, tuple[str, ...]]:
         "varnames=" + ",".join(code.co_varnames),
         "freevars=" + ",".join(code.co_freevars),
         "cellvars=" + ",".join(code.co_cellvars),
-        *consts,
+        *[encoder.token(const) for const in code.co_consts],
     ]
     info = (_hash(tokens), tuple(sorted(names)))
     _CODE_INFO[code] = info
     return info
 
 
+def _is_python_class(cls: type) -> bool:
+    """Whether ``cls`` is laid out like a ``class`` statement's class.
+
+    It must be a heap type, and its instances may grow over its base's
+    only by its own slots and the ``__dict__``/``__weakref__`` pointers
+    it adds. A C-level type — static (``datetime.date``,
+    ``collections.defaultdict``) or a heap type built by an extension
+    (``functools.partial``, ``_random.Random``) — holds state no
+    attribute shows.
+    """
+    if not cls.__flags__ & _HEAPTYPE:
+        return False
+    base = cls.__base__
+    own = cls.__dict__.get("__slots__", ())
+    own = (own,) if isinstance(own, str) else tuple(own)
+    size = base.__basicsize__ + _POINTER * len(
+        [name for name in own if name not in ("__dict__", "__weakref__")]
+    )
+    if cls.__dictoffset__ and not base.__dictoffset__ and not (
+        cls.__flags__ & _MANAGED_DICT
+    ):
+        size += _POINTER
+    if cls.__weakrefoffset__ and not base.__weakrefoffset__ and not (
+        cls.__flags__ & _MANAGED_WEAKREF
+    ):
+        size += _POINTER
+    return cls.__basicsize__ == size
+
+
 def _slot_layout(cls: type) -> tuple[tuple[str, Any], ...] | None:
     """The slot descriptors of ``cls``, or ``None`` if it cannot be walked.
 
-    A class can be walked when every class in its MRO is laid out like a
-    Python class: a fixed instance size that grows over its base's only
-    by its own slots and the ``__dict__``/``__weakref__`` pointers. A
-    larger or variable-size C-level layout (``random.Random``,
-    ``functools.partial``, numpy arrays) holds state no attribute shows.
+    Every class in the MRO must be a Python class (:func:`_is_python_class`)
+    or one of the builtins the encoder reads itself (``object``,
+    containers, primitives). A bare ``object()`` has no class of its
+    own: it is only an identity, so it cannot be walked either.
     """
+    if cls in _BUILTIN_BASES:
+        return None if cls is object else ()
     try:
         return _LAYOUTS[cls]
     except KeyError:
         pass
     layout: list[tuple[str, Any]] = []
-    classes = [klass for klass in reversed(cls.__mro__) if klass is not object]
-    for klass in classes:
-        own = klass.__dict__.get("__slots__", ())
-        own = (own,) if isinstance(own, str) else tuple(own)
-        if klass.__itemsize__ or (
-            klass.__basicsize__ > klass.__base__.__basicsize__ + 8 * (len(own) + 2)
-        ):
-            classes = []
+    result: tuple[tuple[str, Any], ...] | None = None
+    for klass in reversed(cls.__mro__):
+        if klass in _BUILTIN_BASES:
+            continue
+        if not _is_python_class(klass):
             break
-        for name in own:
+        own = klass.__dict__.get("__slots__", ())
+        for name in (own,) if isinstance(own, str) else own:
             if name in ("__dict__", "__weakref__"):
                 continue
             if name.startswith("__") and not name.endswith("__"):
                 name = f"_{klass.__name__.lstrip('_')}{name}"
             layout.append((name, klass.__dict__[name]))
-    # A bare ``object()`` has no class of its own: it is only an identity.
-    result = tuple(layout) if classes else None
+    else:
+        result = tuple(layout)
     _LAYOUTS[cls] = result
     return result
 
@@ -422,9 +464,11 @@ class _Encoder:
 
     def _seen_by(self, names: tuple[str, ...], value: Any) -> str:
         """The token of ``value`` as code using ``names`` sees it: of a
-        module, the attributes those names pick."""
+        module or a Python class, the attributes those names pick."""
         if type(value) is types.ModuleType:
             return self._module(value, names)
+        if isinstance(value, type) and value.__flags__ & _HEAPTYPE:
+            return self._class(value, names)
         return self.token(value)
 
     def _named(self, scope: dict, names: tuple[str, ...], tokens: list[str]) -> None:
@@ -449,6 +493,21 @@ class _Encoder:
 
         return self.compound(module, walk, key=(id(module), names))[0]
 
+    def _class(self, cls: type, names: tuple[str, ...]) -> str:
+        """A class by name, with the attributes ``names`` picks out of
+        each Python class in its MRO (constants, enum members, methods).
+        """
+
+        def walk(cls: type) -> list[str]:
+            tokens = ["class", _qualified(cls)]
+            for klass in cls.__mro__:
+                if klass.__flags__ & _HEAPTYPE:
+                    tokens.append(_qualified(klass))
+                    self._named(vars(klass), names, tokens)
+            return tokens
+
+        return self.compound(cls, walk, key=(id(cls), names))[0]
+
     # -- everything else -------------------------------------------------
 
     def _walk(self, obj: Any) -> list[str]:
@@ -466,27 +525,35 @@ class _Encoder:
             if owner is None or isinstance(owner, (type, types.ModuleType)):
                 return ["builtin", _qualified(obj), str(getattr(owner, "__name__", ""))]
             return ["builtin", _qualified(obj), self.token(owner)]
-        # Containers, and subclasses of the builtins (named tuples, int
-        # enums, ...): the builtin value plus the subclass's attributes.
-        if isinstance(obj, (list, tuple)):
-            tokens = [_qualified(kind), *[self.token(item) for item in obj]]
-        elif isinstance(obj, (set, frozenset)):
-            tokens = [_qualified(kind), *sorted([self.token(item) for item in obj])]
-        elif isinstance(obj, dict):
-            tokens = [_qualified(kind)]
-            for name, value in obj.items():
-                tokens += (self.token(name), self.token(value))
-        elif isinstance(obj, _PRIMITIVE_TYPES):
-            # The builtin's own repr: a subclass may override __str__ or
-            # __int__.
-            base = next(b for b in kind.__mro__ if b in _PRIMITIVES)
-            tokens = [_qualified(kind), f"{base.__name__}:{base.__repr__(obj)}"]
+        if kind in _DESCRIPTORS:
+            return ["descriptor", _qualified(obj.__objclass__), obj.__name__]
+        if kind is property:
+            return ["property", *[self.token(fn) for fn in (obj.fget, obj.fset, obj.fdel)]]
+        if kind is staticmethod or kind is classmethod:
+            tokens = [kind.__name__, self.token(obj.__func__)]
         else:
             layout = _slot_layout(kind)
             if layout is None:
                 self.local = True
                 return [f"opaque:{next(_LOCAL_TOKENS)}"]
-            tokens = ["object", _qualified(kind)]
+            # Containers, and Python subclasses of the builtins (named
+            # tuples, int enums, ...): the builtin value plus the
+            # subclass's slots and attributes.
+            if isinstance(obj, (list, tuple)):
+                tokens = [_qualified(kind), *[self.token(item) for item in obj]]
+            elif isinstance(obj, (set, frozenset)):
+                tokens = [_qualified(kind), *sorted([self.token(item) for item in obj])]
+            elif isinstance(obj, dict):
+                tokens = [_qualified(kind)]
+                for name, value in obj.items():
+                    tokens += (self.token(name), self.token(value))
+            elif isinstance(obj, _PRIMITIVE_TYPES):
+                # The builtin's own repr: a subclass may override __str__
+                # or __int__.
+                base = next(b for b in kind.__mro__ if b in _PRIMITIVES)
+                tokens = [_qualified(kind), f"{base.__name__}:{base.__repr__(obj)}"]
+            else:
+                tokens = ["object", _qualified(kind)]
             for name, descriptor in layout:
                 try:
                     value = descriptor.__get__(obj, kind)

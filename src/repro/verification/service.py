@@ -72,10 +72,9 @@ METHODS = ("auto", "full", "compositional")
 #: Capacities of a service's in-memory tiers; beyond them the least
 #: recently used entry goes. Records are small JSON dicts (an evicted
 #: one comes back from the store, if there is one); reports carry
-#: witnesses; transition systems hold whole state spaces.
+#: witnesses.
 RECORD_CAPACITY = 4096
 REPORT_CAPACITY = 256
-SYSTEM_CAPACITY = 16
 
 #: The historical liveness analysis moved to
 #: :mod:`repro.verification.liveness`; importing its names from this
@@ -355,7 +354,7 @@ class VerificationService:
         self.metrics = metrics
         self._records: LRUDict = LRUDict(RECORD_CAPACITY)
         self._reports: LRUDict = LRUDict(REPORT_CAPACITY)
-        self._systems: LRUDict = LRUDict(SYSTEM_CAPACITY)
+        self._systems: LRUDict = LRUDict(16)
         self.hits = 0
         self.hits_memory = 0
         self.hits_disk = 0

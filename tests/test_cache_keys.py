@@ -15,6 +15,9 @@ is bounded.
 """
 
 import collections
+import datetime
+import enum
+import functools
 import gc
 import hashlib
 import json
@@ -24,6 +27,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import types
 import weakref
 from pathlib import Path
 
@@ -127,6 +131,7 @@ class TestReproducerMisses:
 # The edit matrix: one base module source, and one edit per row. Each
 # edit changes what the program computes, so each must change its key.
 _BASE = '''
+import enum
 import types
 
 from repro.core import Action, Assignment, IntegerRangeDomain, Predicate, Program, Variable
@@ -135,6 +140,14 @@ from repro.core.expr import V, expr_action
 helpers = types.ModuleType("helpers")
 helpers.blocked = lambda s: s["c"] == 5
 helpers.offset = 0
+
+
+class Limits:
+    FLOOR = 0
+
+
+class Mode(enum.Enum):
+    ZERO = 0
 
 
 def helper(s):
@@ -150,7 +163,7 @@ def build(limit=7):
 
     def reset(s):
         pick = lambda v: v * 0
-        return pick(s["a"]) % cap + tools.offset
+        return pick(s["a"]) % cap + tools.offset + Limits.FLOOR + Mode.ZERO.value
 
     zero = Action(
         "zero",
@@ -174,6 +187,8 @@ _EDITS = {
         "helpers.offset = 0", "helpers.offset = 1"
     ),
     "nested lambda constant": ("v * 0", "v * 1"),
+    "class constant": ("FLOOR = 0", "FLOOR = 1"),
+    "enum member": ("ZERO = 0", "ZERO = 1"),
     "DSL constant": ('{"b": 1}', '{"b": 0}'),
 }
 
@@ -210,6 +225,18 @@ def _capturing(value) -> Predicate:
     return Predicate(lambda s: value is not None, name="captures")
 
 
+class _Tagged(list):
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        super().__init__()
+        self.tag = tag
+
+
+class _Color(enum.Enum):
+    RED = 1
+
+
 class TestCapturedValues:
     Pair = collections.namedtuple("Pair", "x y")
 
@@ -220,12 +247,42 @@ class TestCapturedValues:
         (1, True),
         (1, 1.0),
         ("1", 1),
+        (types.MappingProxyType({0: 1}), types.MappingProxyType({0: 2})),
+        (datetime.date(2024, 1, 1), datetime.date(2025, 1, 1)),
+        (collections.defaultdict(lambda: 0), collections.defaultdict(lambda: 1)),
+        (staticmethod(lambda: 0), staticmethod(lambda: 1)),
+        (_Tagged(1), _Tagged(2)),
     ], ids=["namedtuple", "list order", "dict order", "int-bool", "int-float",
-            "str-int"])
+            "str-int", "mappingproxy", "date", "defaultdict factory",
+            "staticmethod", "list subclass slot"])
     def test_different_values_miss(self, first, second):
         assert fingerprint_predicate(_capturing(first)) != fingerprint_predicate(
             _capturing(second)
         )
+
+    @pytest.mark.parametrize("value", [
+        types.MappingProxyType({0: 1}),
+        datetime.date(2024, 1, 1),
+        collections.defaultdict(int),
+        collections.OrderedDict(a=1),
+        functools.partial(int, base=2),
+        random.Random(1),
+        object(),
+    ], ids=["mappingproxy", "date", "defaultdict", "OrderedDict", "partial",
+            "Random", "object"])
+    def test_c_level_state_is_process_local(self, value):
+        assert is_process_local(fingerprint_predicate(_capturing(value)))
+
+    @pytest.mark.parametrize("value", [
+        Pair(1, 2),
+        collections.Counter("aab"),
+        _Color.RED,
+        staticmethod(len),
+        _Tagged(1),
+    ], ids=["namedtuple", "Counter", "enum member", "staticmethod",
+            "list subclass with slots"])
+    def test_python_classes_are_walked(self, value):
+        assert not is_process_local(fingerprint_predicate(_capturing(value)))
 
     def test_set_order_does_not_matter(self):
         names = ["x%d" % index for index in range(20)]
@@ -524,15 +581,6 @@ class TestBoundedTiers:
         for index in range(10_000):
             service.memo("probe", f"k{index}", lambda: {"ok": True})
         assert len(service._records) == service_module.RECORD_CAPACITY
-
-        variables = [Variable("x", IntegerRangeDomain(0, 0))]
-        program = Program("one-state", variables, [])
-        states = list(program.state_space())
-        for index in range(10_000):
-            service.transition_system(
-                program, states, states_key=f"w{index}", engine="dict"
-            )
-        assert len(service._systems) == service_module.SYSTEM_CAPACITY
 
         for index in range(10_000):
             service._reports[f"r{index}"] = None
