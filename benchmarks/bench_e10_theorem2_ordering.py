@@ -15,6 +15,8 @@ subgraph is acyclic. The reported oscillation cycle is always the paper's
 2-state ping-pong.
 """
 
+import math
+
 from repro.analysis import render_table
 from repro.core import find_linear_order
 from repro.protocols.three_constraint import (
@@ -23,11 +25,8 @@ from repro.protocols.three_constraint import (
     window_states,
     xyz_invariant,
 )
-from repro.verification import (
-    check_convergence,
-    explore,
-    worst_case_convergence_steps,
-)
+from repro.quantitative import worst_case_steps
+from repro.verification import check_convergence, explore
 
 
 def analyze(build, bound):
@@ -39,8 +38,9 @@ def analyze(build, bound):
     convergence = check_convergence(
         design.program, ts.states, invariant, fairness="weak", system=ts
     )
-    worst = worst_case_convergence_steps(
-        design.program, ts.states, invariant, system=ts
+    worst = max(
+        worst_case_steps(design.program, ts.states, invariant, system=ts),
+        default=0.0,
     )
     cycle = (
         len(convergence.counterexample.states)
@@ -69,7 +69,7 @@ def test_e10_ordering_dichotomy(benchmark, report):
                     order is not None,
                     " < ".join(b.constraint.name for b in order) if order else "-",
                     converges,
-                    "unbounded" if worst is None else worst,
+                    "unbounded" if math.isinf(worst) else int(worst),
                     cycle if cycle is not None else "-",
                 ]
             )

@@ -14,6 +14,8 @@ checked convergence under weak and no fairness, and the worst-case steps
 to converge (unbounded = an oscillation exists).
 """
 
+import math
+
 from repro.analysis import render_table
 from repro.protocols.three_constraint import (
     build_ordered_design,
@@ -22,11 +24,8 @@ from repro.protocols.three_constraint import (
     window_states,
     xyz_invariant,
 )
-from repro.verification import (
-    check_convergence,
-    explore,
-    worst_case_convergence_steps,
-)
+from repro.quantitative import worst_case_steps
+from repro.verification import check_convergence, explore
 
 BOUND = 3
 
@@ -41,8 +40,10 @@ def analyze(build):
                              fairness="weak", system=ts)
     unfair = check_convergence(design.program, ts.states, invariant,
                                fairness="none", system=ts)
-    worst = worst_case_convergence_steps(design.program, ts.states, invariant,
-                                         system=ts)
+    worst = max(
+        worst_case_steps(design.program, ts.states, invariant, system=ts),
+        default=0.0,
+    )
     return design, certificate, weak, unfair, worst
 
 
@@ -63,7 +64,7 @@ def test_e1_three_designs(benchmark, report):
                 certificate.ok,
                 weak.ok,
                 unfair.ok,
-                "unbounded" if worst is None else worst,
+                "unbounded" if math.isinf(worst) else int(worst),
             ]
         )
     table = render_table(

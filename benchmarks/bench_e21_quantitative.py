@@ -4,13 +4,13 @@ For every registered protocol this experiment runs the full quantitative
 analysis (:func:`repro.quantitative.quantify`): random-daemon expected
 convergence time, the fault-rate-weighted expectation, the adversarial
 worst-case span, and the masking-distance-style score — and renders them
-as one league table, ranked by score. On the toy sizes it also pins the
-CSR value iteration against the dense reference solve, so the league
-numbers are known-correct, not merely fast.
+as one league table, ranked by score. The CSR value iteration's
+agreement with a dense reference solve is pinned by the test suite
+(``tests/test_quantitative.py::TestLibraryDifferential``), not here.
 
 Timings land in ``BENCH_verification.json`` under the ``quantitative``
-suite. The CI perf smoke runs the differential check plus the cache-key
-separation of quantified verdicts::
+suite. The CI perf smoke runs the league plus the cache-key separation
+of quantified verdicts::
 
     PYTHONPATH=src python benchmarks/bench_e21_quantitative.py --quick
 """
@@ -21,22 +21,7 @@ import time
 
 from repro.analysis import render_table
 from repro.protocols.library import CASES, build_case
-from repro.quantitative import (
-    DENSE_AGREEMENT_RTOL,
-    HAVE_NUMPY,
-    dense_hitting_times,
-    hitting_times,
-    quantify,
-)
-
-#: Instances small enough that the dense O(states^3) reference stays
-#: cheap; the league table itself runs each case's registered default.
-DIFFERENTIAL_SIZES = {
-    "diffusing-chain": 3,
-    "dijkstra-ring": 3,
-    "coloring-chain": 3,
-    "mis-cycle": 3,
-}
+from repro.quantitative import hitting_times, quantify
 
 
 def _fmt(value: float) -> str:
@@ -68,25 +53,6 @@ def league_table() -> list[dict]:
     return rows
 
 
-def differential_check() -> int:
-    """Pin the CSR value iteration against the dense solve; return #cases."""
-    checked = 0
-    for name, size in DIFFERENTIAL_SIZES.items():
-        program, invariant = build_case(name, size)
-        states = list(program.state_space())
-        fast = hitting_times(program, states, invariant)
-        dense = dense_hitting_times(program, states, invariant)
-        for got, want in zip(fast.expectations, dense.expectations):
-            if math.isinf(want):
-                assert math.isinf(got), f"{name}: finite where dense is inf"
-            else:
-                assert abs(got - want) <= DENSE_AGREEMENT_RTOL * (1.0 + abs(want)), (
-                    f"{name}: CSR {got} vs dense {want}"
-                )
-        checked += 1
-    return checked
-
-
 def cache_key_separation() -> None:
     """A quantified verdict must not collide with the plain verdict."""
     import repro
@@ -109,8 +75,6 @@ def test_e21_quantitative_league(benchmark, report, bench_timings):
     states = list(program.state_space())
     benchmark(lambda: hitting_times(program, states, invariant))
 
-    if HAVE_NUMPY:
-        assert differential_check() == len(DIFFERENTIAL_SIZES)
     cache_key_separation()
 
     rows = league_table()
@@ -145,15 +109,9 @@ def test_e21_quantitative_league(benchmark, report, bench_timings):
 
 
 def run_quick() -> int:
-    """Seconds-scale smoke: differential agreement + cache-key separation."""
-    print("quantitative perf smoke: CSR-vs-dense differential + cache keys")
+    """Seconds-scale smoke: cache-key separation + the league."""
+    print("quantitative perf smoke: cache keys + league")
     try:
-        if HAVE_NUMPY:
-            checked = differential_check()
-            print(f"  differential: {checked} protocols within "
-                  f"rtol {DENSE_AGREEMENT_RTOL}")
-        else:
-            print("  differential: skipped (no numpy; scalar path only)")
         cache_key_separation()
         print("  cache keys: quantify records separate from plain verdicts")
         rows = league_table()
@@ -181,8 +139,6 @@ if __name__ == "__main__":
         sys.exit(run_quick())
     from conftest import record_verification_timings
 
-    if HAVE_NUMPY:
-        differential_check()
     league = league_table()
     record_verification_timings("quantitative", {"league": league})
     print(json.dumps({"league": league}, indent=2))

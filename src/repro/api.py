@@ -18,10 +18,9 @@ projections, ``"auto"`` tries that and falls back to full exploration),
 and returns a :class:`~repro.verification.ServiceVerdict` — one of the
 types satisfying the :class:`Verdict` protocol.
 
-Deprecation policy (see ``docs/API.md``): the legacy entry points —
-:func:`repro.verification.check_tolerance` and the liveness names that
-used to live in ``repro.verification.service`` — keep working unchanged
-but emit :class:`DeprecationWarning`; new code uses this facade.
+Deprecation policy (see ``docs/API.md``): an entry point this facade
+replaces is removed rather than kept behind a warning; the API guide
+names each removed entry point's replacement.
 """
 
 from __future__ import annotations

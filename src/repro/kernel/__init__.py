@@ -12,7 +12,7 @@ Selected via ``engine="packed"`` (or the default ``engine="auto"``,
 which falls back to the dict engine on :class:`PackedUnsupported`) in
 :func:`repro.verification.explorer.build_transition_system`,
 :func:`repro.verification.explorer.explore`,
-:func:`repro.verification.checker.check_tolerance`, and
+:func:`repro.verification.checker._check_tolerance`, and
 :meth:`repro.verification.service.VerificationService.verify_tolerance`.
 
 See ``docs/PERFORMANCE.md`` for the codec layout and the locality

@@ -1,7 +1,7 @@
 """Packed-engine T-tolerance verification.
 
-``check_tolerance_packed`` reproduces
-:func:`repro.verification.checker.check_tolerance` bit-for-bit — same
+``check_tolerance_packed`` reproduces the dict engine's
+:func:`repro.verification.checker._check_tolerance` bit-for-bit — same
 verdicts, same closure witnesses in the same order, same error messages
 — but runs on packed codes:
 
@@ -98,7 +98,7 @@ def check_tolerance_packed(
     tracer=None,
     metrics=None,
 ) -> ToleranceReport:
-    """Packed counterpart of :func:`~repro.verification.checker.check_tolerance`.
+    """Packed counterpart of :func:`~repro.verification.checker._check_tolerance`.
 
     Args:
         states: The state set, or ``None`` for the program's full state

@@ -19,8 +19,8 @@ verified transition system into numbers:
 
   computed by **CSR-native value iteration** directly over the packed
   kernel's ``offsets``/``targets`` arrays — no dense matrix is ever
-  materialized (the historical dense ``numpy.linalg`` solve survives as
-  :func:`dense_hitting_times`, the toy-size differential reference).
+  materialized (the test suite keeps a dense ``numpy.linalg`` solve as
+  the toy-size differential reference).
   Jacobi sweeps run vectorized when numpy is present and fall back to a
   **bit-compatible** pure-Python scalar loop otherwise, mirroring the
   ``repro.kernel.sweeps`` gating discipline: both paths perform the
@@ -50,8 +50,7 @@ verified transition system into numbers:
 States that reach the target with probability < 1 under the random
 daemon (they can wander into a region from which the target is
 unreachable, or deadlock outside it) have infinite expected hitting
-time and are reported as ``math.inf``, exactly as the historical dense
-solver did.
+time and are reported as ``math.inf``.
 
 Surfaced through the facade as ``repro.verify(case, quantify=True)``
 (the attached :class:`QuantitativeReport` satisfies the
@@ -81,14 +80,12 @@ except ImportError:  # pragma: no cover - exercised by the fallback CI leg
 __all__ = [
     "DEFAULT_FAULT_RATE",
     "DEFAULT_TOL",
-    "DENSE_AGREEMENT_RTOL",
     "FORCE_SCALAR",
     "HAVE_NUMPY",
     "HittingTimes",
     "MAX_VALUE_SWEEPS",
     "QuantitativeReport",
     "QuantitativeUnsupported",
-    "dense_hitting_times",
     "hitting_times",
     "quantify",
     "worst_case_steps",
@@ -115,20 +112,14 @@ DEFAULT_FAULT_RATE = 0.1
 #: reported with ``converged=False`` rather than looping forever.
 MAX_VALUE_SWEEPS = 100_000
 
-#: The documented agreement bar between the CSR value iteration and the
-#: dense reference solve (relative, on every finite expectation). The
-#: differential suite pins it across the protocol library.
-DENSE_AGREEMENT_RTOL = 1e-6
-
 
 class QuantitativeUnsupported(Exception):
     """The quantitative analysis cannot run on this instance as asked.
 
-    Raised for structured refusals — numpy missing for the dense
-    reference solve, or a ``memory_budget=`` the resident value-
-    iteration arrays cannot fit under (unlike the boolean kernel there
-    is no streaming variant: the expectation vector must stay resident
-    across sweeps).
+    Raised for structured refusals — a ``memory_budget=`` the resident
+    value-iteration arrays cannot fit under (unlike the boolean kernel
+    there is no streaming variant: the expectation vector must stay
+    resident across sweeps).
     """
 
 
@@ -141,10 +132,8 @@ class QuantitativeUnsupported(Exception):
 class HittingTimes:
     """Exact expected steps-to-target per state, plus aggregates.
 
-    The canonical home of the type that used to live in
-    :mod:`repro.analysis.markov`; ``expectations`` is aligned with
-    ``system.states`` and states that miss the target with positive
-    probability carry ``math.inf``.
+    ``expectations`` is aligned with ``system.states``; states that miss
+    the target with positive probability carry ``math.inf``.
     """
 
     #: Expected steps from each state, aligned with ``system.states``.
@@ -454,9 +443,8 @@ def _full_space_graph(
 def _classify_scalar(n: int, offsets, targets, is_target) -> list[bool]:
     """Which states have infinite expectation (probability < 1 to hit).
 
-    Two backward closures, exactly as the historical dense solver
-    computed them: states that cannot reach the target at all, then
-    states that can wander (without first being absorbed) into one.
+    Two backward closures: states that cannot reach the target at all,
+    then states that can wander (without first being absorbed) into one.
     """
     predecessors: list[list[int]] = [[] for _ in range(n)]
     for source in range(n):
@@ -685,12 +673,9 @@ def hitting_times(
 ) -> HittingTimes:
     """Random-daemon expected steps-to-target, by CSR value iteration.
 
-    The drop-in successor of the deprecated
-    ``repro.analysis.markov.expected_convergence_steps``: same model,
-    same ``math.inf`` semantics, same closedness check — but solved by
-    sparse value iteration over the transition system's CSR arrays
-    instead of a dense linear solve, so it scales with edges rather
-    than states squared.
+    Solved by sparse value iteration over the transition system's CSR
+    arrays instead of a dense linear solve, so it scales with edges
+    rather than states squared.
 
     Args:
         program: The program (its transition graph defines the chain).
@@ -758,91 +743,6 @@ def _mean_with_inf(values) -> float:
     return total / len(values)
 
 
-def dense_hitting_times(
-    program: Program,
-    states: Iterable[State],
-    target: Predicate,
-    *,
-    system: Any = None,
-) -> HittingTimes:
-    """The historical dense linear solve — the differential reference.
-
-    Materializes the full transient-state matrix and solves it with
-    ``numpy.linalg.solve``; exact, but O(states^2) memory and
-    O(states^3) time, so it is only suitable for toy sizes. The
-    differential suite pins :func:`hitting_times` against it within
-    :data:`DENSE_AGREEMENT_RTOL` on every library protocol.
-
-    Raises:
-        QuantitativeUnsupported: when numpy is not installed.
-        ValueError: if the supplied state set is not closed.
-    """
-    if _np is None:
-        raise QuantitativeUnsupported(
-            "dense_hitting_times needs numpy; use hitting_times (the "
-            "CSR value iteration has a pure-Python path)"
-        )
-    from repro.verification.explorer import build_transition_system
-
-    ts = (
-        system
-        if system is not None
-        else build_transition_system(program, states)
-    )
-    if ts.escapes:
-        raise ValueError("the state set is not closed under the program")
-
-    n = len(ts)
-    is_target = _np.array([target(state) for state in ts.states], dtype=bool)
-    doomed = _classify_scalar(
-        *_dense_csr(ts), [bool(flag) for flag in is_target]
-    )
-
-    transient = [
-        i for i in range(n) if not is_target[i] and not doomed[i]
-    ]
-    position = {state_index: k for k, state_index in enumerate(transient)}
-
-    values = _np.zeros(n)
-    for i in range(n):
-        if doomed[i]:
-            values[i] = math.inf
-
-    if transient:
-        m = len(transient)
-        matrix = _np.eye(m)
-        rhs = _np.ones(m)
-        for k, state_index in enumerate(transient):
-            edges = ts.edges[state_index]
-            weight = 1.0 / len(edges)
-            for _, destination in edges:
-                if destination in position:
-                    matrix[k, position[destination]] -= weight
-                # Destinations in the target contribute 0; doomed
-                # destinations are impossible here by construction.
-        solution = _np.linalg.solve(matrix, rhs)
-        for k, state_index in enumerate(transient):
-            values[state_index] = solution[k]
-
-    expectations = tuple(float(v) for v in values)
-    has_inf = bool(_np.isinf(values).any())
-    return HittingTimes(
-        expectations=expectations,
-        mean=math.inf if has_inf else float(values.mean()),
-        maximum=float(values.max()) if n else 0.0,
-        system=ts,
-    )
-
-
-def _dense_csr(ts) -> tuple[int, list[int], list[int]]:
-    offsets = [0]
-    targets: list[int] = []
-    for row in ts.edges:
-        targets.extend(destination for _name, destination in row)
-        offsets.append(len(targets))
-    return len(ts), offsets, targets
-
-
 def worst_case_steps(
     program: Program,
     states: Iterable[State],
@@ -855,7 +755,11 @@ def worst_case_steps(
 
     The per-state counterpart of
     :attr:`QuantitativeReport.worst_case_steps`, aligned with the
-    system's state order.
+    system's state order. ``max(worst_case_steps(...), default=0.0)``
+    is the exact number of steps an adversarial daemon can force before
+    ``target`` holds; ``math.inf`` means unbounded (the daemon can
+    follow a cycle, or reach a deadlock, outside ``target``), which is
+    exactly when ``check_convergence(fairness="none")`` fails.
 
     Raises:
         ValueError: if the supplied state set is not closed.

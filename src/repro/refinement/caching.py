@@ -25,7 +25,7 @@ read/write-atomicity model of distributed shared memory.
 Whether the refinement preserves convergence is *not* claimed here —
 that is precisely the nontrivial question. The refined program is a
 plain :class:`~repro.core.program.Program`, so
-:func:`repro.verification.check_tolerance` decides it exhaustively on
+:func:`repro.verify` decides it exhaustively on
 small instances, and the E11 benchmark records the answer per protocol
 and fairness mode (notably: refined programs generally need weak
 fairness, because an unfair daemon can starve the copy actions forever).

@@ -6,13 +6,12 @@ process-pool batch runner in :mod:`repro.verification.parallel` wrap
 them for repeated and fleet-wide verification.
 """
 
-from repro.verification.checker import ToleranceReport, check_tolerance
+from repro.verification.checker import ToleranceReport
 from repro.verification.closure import ClosureResult, ClosureWitness, check_closure
 from repro.verification.convergence import (
     ConvergenceCounterexample,
     ConvergenceResult,
     check_convergence,
-    worst_case_convergence_steps,
 )
 from repro.verification.counterexample import (
     format_computation,
@@ -92,7 +91,6 @@ __all__ = [
     "check_closure",
     "check_convergence",
     "check_stair",
-    "check_tolerance",
     "explore",
     "format_computation",
     "format_state",
@@ -102,5 +100,4 @@ __all__ = [
     "validate_engine",
     "validate_method",
     "verdicts_ok",
-    "worst_case_convergence_steps",
 ]

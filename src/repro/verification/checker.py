@@ -15,7 +15,6 @@ every state of the instance).
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
@@ -27,7 +26,7 @@ from repro.verification.closure import ClosureResult, check_closure
 from repro.verification.convergence import ConvergenceResult, check_convergence
 from repro.verification.explorer import build_transition_system, validate_engine
 
-__all__ = ["ToleranceReport", "check_tolerance"]
+__all__ = ["ToleranceReport"]
 
 
 @dataclass(frozen=True)
@@ -76,47 +75,6 @@ class ToleranceReport:
             "bad_states": self.convergence.bad_states,
             "fairness": self.convergence.fairness,
         }
-
-
-def check_tolerance(
-    program: Program,
-    invariant: Predicate,
-    fault_span: Predicate,
-    states: Iterable[State] | None = None,
-    *,
-    fairness: str = "weak",
-    engine: str = "auto",
-    max_states: int | None = None,
-    shards: int | None = None,
-    memory_budget: int | None = None,
-    tracer=None,
-    metrics=None,
-) -> ToleranceReport:
-    """Deprecated alias for :func:`repro.verify` — see :mod:`repro.api`.
-
-    Still fully functional and returns the legacy
-    :class:`ToleranceReport`; new code should call :func:`repro.verify`,
-    which adds caching, lint prechecks and the compositional method.
-    """
-    warnings.warn(
-        "check_tolerance() is deprecated; use the repro.verify() facade "
-        "(see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _check_tolerance(
-        program,
-        invariant,
-        fault_span,
-        states,
-        fairness=fairness,
-        engine=engine,
-        max_states=max_states,
-        shards=shards,
-        memory_budget=memory_budget,
-        tracer=tracer,
-        metrics=metrics,
-    )
 
 
 def _check_tolerance(

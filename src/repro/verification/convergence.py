@@ -42,7 +42,6 @@ __all__ = [
     "ConvergenceCounterexample",
     "ConvergenceResult",
     "check_convergence",
-    "worst_case_convergence_steps",
 ]
 
 FAIRNESS_MODES = ("none", "weak")
@@ -366,42 +365,3 @@ def _cycle_verdict(
         bad_states=bad_states,
     )
 
-
-def worst_case_convergence_steps(
-    program: Program,
-    span_states: Iterable[State],
-    target: Predicate,
-    *,
-    system: TransitionSystem | None = None,
-) -> int | None:
-    """The exact worst-case number of steps to reach ``target``.
-
-    Defined when the program converges under an arbitrary daemon, i.e.
-    when the ``¬target`` subgraph is acyclic: the answer is then the
-    longest path through ``¬target`` states (an adversarial daemon can
-    force exactly this many steps, and no more). Returns ``None`` when
-    the subgraph has a cycle, in which case an unfair daemon can postpone
-    convergence forever.
-    """
-    ts = system if system is not None else build_transition_system(program, span_states)
-    good = set(ts.satisfying(target))
-    bad = [position for position in range(len(ts)) if position not in good]
-    bad_set = set(bad)
-    internal = _internal_successors(ts, bad, bad_set)
-    components = _strongly_connected_components(bad, internal)
-    for component in components:
-        if _component_has_internal_edge(component, internal):
-            return None
-    # Longest path over the DAG of bad states; length counts the steps to
-    # first leave the bad region (each bad state contributes one step).
-    depth: dict[int, int] = {}
-    order = [node for component in components for node in component]
-    # Tarjan emits components in reverse topological order of the
-    # condensation, so iterating the flattened list computes children
-    # before parents.
-    for node in order:
-        best = 0
-        for child in internal[node]:
-            best = max(best, depth[child])
-        depth[node] = 1 + best
-    return max(depth.values(), default=0)

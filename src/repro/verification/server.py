@@ -74,6 +74,10 @@ __all__ = ["DaemonThread", "VerificationDaemon", "serve"]
 #: one).
 KEY_CACHE_CAPACITY = 1024
 
+#: Largest request body the daemon reads; a longer declared
+#: ``Content-Length`` is refused with 413 before any body byte is read.
+MAX_BODY_BYTES = 1 << 20
+
 #: Response keys the daemon adds to every verdict record it returns.
 PROVENANCE_KEYS = ("cached", "cache_layer", "call_seconds", "deduped")
 
@@ -273,12 +277,12 @@ class VerificationDaemon:
                     break
                 try:
                     method, path, headers = self._parse_head(head)
+                    length = self._content_length(headers)
                 except RequestError as error:
                     await self._respond(
                         writer, error.status, {"error": str(error)}, close=True
                     )
                     break
-                length = int(headers.get("content-length", "0") or 0)
                 body = await reader.readexactly(length) if length else b""
                 close = headers.get("connection", "").lower() == "close"
                 self._open_requests += 1
@@ -321,6 +325,23 @@ class VerificationDaemon:
         return method.upper(), path, headers
 
     @staticmethod
+    def _content_length(headers: dict[str, str]) -> int:
+        """The request's body length, checked before any body is read."""
+        raw = headers.get("content-length", "0") or "0"
+        if not (raw.isascii() and raw.isdigit()):
+            raise RequestError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            raise RequestError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
+        return length
+
+    @staticmethod
     async def _respond(
         writer: asyncio.StreamWriter,
         status: int,
@@ -329,7 +350,8 @@ class VerificationDaemon:
         close: bool = False,
     ) -> None:
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 500: "Internal Server Error"}
+                   405: "Method Not Allowed", 413: "Content Too Large",
+                   500: "Internal Server Error"}
         body = json.dumps(payload, sort_keys=True).encode()
         head = (
             f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"

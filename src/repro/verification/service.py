@@ -12,18 +12,13 @@ from the cache instead of recomputed:
   entry survives rebuilding the same protocol and is invalidated by any
   change to its variables, domains, guards or statements; a state set
   the caller does not label is keyed by its content;
-- **in-memory**: built :class:`TransitionSystem` objects, full verdict
-  reports and verdict records are memoized per service instance, each
-  tier an LRU bounded by a module-level capacity;
+- **in-memory**: full verdict reports and verdict records are memoized
+  per service instance, each tier an LRU bounded by a module-level
+  capacity;
 - **on-disk** (optional ``cache_dir``): JSON verdict records persist
   across processes, which is what makes the parallel worker pool in
   :mod:`repro.verification.parallel` and cache-warm benchmark reruns
-  cheap. Transition systems are not persisted — they embed program
-  callables and are process-local.
-
-The historical liveness analysis that used to live in this module moved
-to :mod:`repro.verification.liveness`; its names are re-exported here
-for compatibility.
+  cheap.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from repro.core.errors import ValidationError
 from repro.core.fingerprint import (
     fingerprint_instance,
     fingerprint_predicate,
-    fingerprint_program,
     fingerprint_states,
 )
 from repro.core.predicates import TRUE, Predicate
@@ -51,11 +45,7 @@ from repro.observability.report import RunReport
 from repro.observability.tracer import Tracer
 from repro.quantitative import DEFAULT_FAULT_RATE, QuantitativeReport
 from repro.verification.checker import ToleranceReport, _check_tolerance
-from repro.verification.explorer import (
-    TransitionSystem,
-    build_transition_system,
-    validate_engine,
-)
+from repro.verification.explorer import validate_engine
 from repro.verification.store import LRUDict, VerdictStore
 
 __all__ = [
@@ -75,33 +65,6 @@ METHODS = ("auto", "full", "compositional")
 #: witnesses.
 RECORD_CAPACITY = 4096
 REPORT_CAPACITY = 256
-
-#: The historical liveness analysis moved to
-#: :mod:`repro.verification.liveness`; importing its names from this
-#: module is deprecated.
-_MOVED_TO_LIVENESS = (
-    "RecurrentClass",
-    "ServiceReport",
-    "check_service",
-    "recurrent_classes",
-)
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_LIVENESS:
-        import warnings
-
-        warnings.warn(
-            f"importing {name} from repro.verification.service is "
-            f"deprecated; import it from repro.verification.liveness "
-            "(or the repro.verification package)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.verification import liveness
-
-        return getattr(liveness, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def tolerance_fingerprint(
@@ -354,7 +317,6 @@ class VerificationService:
         self.metrics = metrics
         self._records: LRUDict = LRUDict(RECORD_CAPACITY)
         self._reports: LRUDict = LRUDict(REPORT_CAPACITY)
-        self._systems: LRUDict = LRUDict(16)
         self.hits = 0
         self.hits_memory = 0
         self.hits_disk = 0
@@ -471,34 +433,6 @@ class VerificationService:
             self.store.put(kind, key, record)
 
     # ------------------------------------------------------------------
-    # Transition systems
-    # ------------------------------------------------------------------
-
-    def transition_system(
-        self,
-        program: Program,
-        states: Iterable[State],
-        *,
-        states_key: str,
-        engine: str = "auto",
-    ) -> TransitionSystem:
-        """The (memoized) transition graph of ``program`` over ``states``.
-
-        ``states_key`` discriminates different state sets of the same
-        program (e.g. ``"full"`` vs a window label); the full key also
-        covers the program fingerprint. ``engine`` selects the packed or
-        dict representation (see :func:`build_transition_system`) and is
-        part of the memo key — the two representations are behaviourally
-        interchangeable but not the same object shape.
-        """
-        key = f"{fingerprint_program(program)}:{states_key}:{engine}"
-        system = self._systems.get(key)
-        if system is None:
-            system = build_transition_system(program, states, engine=engine)
-            self._systems[key] = system
-        return system
-
-    # ------------------------------------------------------------------
     # Tolerance verification
     # ------------------------------------------------------------------
 
@@ -534,7 +468,7 @@ class VerificationService:
                 every call.
             fairness: Computation model for convergence.
             engine: ``"packed"``, ``"dict"`` or ``"auto"`` (see
-                :func:`~repro.verification.checker.check_tolerance`). The
+                :func:`~repro.verification.checker._check_tolerance`). The
                 engine is **not** part of the cache key — both engines
                 produce identical verdicts — but the record notes which
                 one computed it under ``record["engine"]``.
@@ -920,7 +854,6 @@ class VerificationService:
             "hits_disk": self.hits_disk,
             "misses": self.misses,
             "records": len(self._records),
-            "systems": len(self._systems),
             "seconds_computing": self.seconds_computing,
             "seconds_cached": self.seconds_cached,
         }
@@ -940,7 +873,6 @@ class VerificationService:
             "cache.hit.disk": self.hits_disk,
             "cache.miss": self.misses,
             "records": int(stats["records"]),
-            "systems": int(stats["systems"]),
         }
         if self.metrics is not None:
             # Surface registry-only counters (e.g. the packed engine's

@@ -1,15 +1,14 @@
-"""The :func:`repro.verify` facade and the deprecation shims.
+"""The :func:`repro.verify` facade.
 
 Two guarantees are pinned here:
 
 - **Parity** — for every library case x engine x method combination the
   facade's verdict agrees bit-for-bit (``ok``, ``classification``,
-  ``stabilizing``) with the legacy direct checker;
-- **Deprecation mechanics** — each legacy entry point still works, still
-  returns the legacy type, and warns exactly once per call.
+  ``stabilizing``) with the direct checker;
+- **No deprecations** — the facade path emits no
+  :class:`DeprecationWarning`.
 
-CI runs this file under ``-W error::DeprecationWarning``: everything
-except the explicitly guarded shim calls must be warning-free.
+CI runs this file under ``-W error::DeprecationWarning``.
 """
 
 import warnings
@@ -24,9 +23,7 @@ from repro.protocols.library import CASES, build_case
 from repro.verification import (
     METHODS,
     ServiceVerdict,
-    ToleranceReport,
     VerificationService,
-    check_tolerance,
     validate_engine,
     validate_method,
 )
@@ -166,57 +163,7 @@ class TestVerdictProtocol:
 
 
 class TestDeprecationShims:
-    def test_check_tolerance_warns_once_and_returns_legacy_type(self):
-        program, invariant = build_case("coloring-chain", SIZE)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = check_tolerance(program, invariant, TRUE)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.verify" in str(deprecations[0].message)
-        assert isinstance(report, ToleranceReport)
-        assert report.ok == _check_tolerance(program, invariant, TRUE).ok
-
-    @pytest.mark.parametrize(
-        "name",
-        ("RecurrentClass", "ServiceReport", "check_service",
-         "recurrent_classes"),
-    )
-    def test_service_module_liveness_names_warn_and_delegate(self, name):
-        import repro.verification.liveness as liveness
-        import repro.verification.service as service_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            moved = getattr(service_module, name)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.verification.liveness" in str(deprecations[0].message)
-        assert moved is getattr(liveness, name)
-
-    def test_validate_engine_alias_is_the_public_function(self):
-        from repro.verification.explorer import _validate_engine
-
-        assert _validate_engine is validate_engine
-
-    def test_expected_convergence_steps_warns_once_and_delegates(self):
-        from repro.analysis.markov import expected_convergence_steps
-        from repro.quantitative import hitting_times
-
-        program, invariant = build_case("coloring-chain", SIZE)
-        states = list(program.state_space())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = expected_convergence_steps(program, states, invariant)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "hitting_times" in str(deprecations[0].message)
-        assert result.expectations == hitting_times(
-            program, states, invariant
-        ).expectations
+    """No deprecated entry point remains on the facade's path."""
 
     def test_facade_is_warning_free(self):
         with warnings.catch_warnings():

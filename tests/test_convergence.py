@@ -6,6 +6,8 @@ fairness only cycles that a fair computation can actually follow count —
 an SCC from which some always-enabled action forcibly exits is harmless.
 """
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -18,7 +20,8 @@ from repro.core import (
     ValidationError,
     Variable,
 )
-from repro.verification import check_convergence, worst_case_convergence_steps
+from repro.quantitative import worst_case_steps
+from repro.verification import check_convergence
 
 TARGET = Predicate(lambda s: s["n"] == 0, name="n = 0", support=("n",))
 
@@ -277,24 +280,34 @@ class TestValidation:
             )
 
 
+def worst_case(program, states):
+    return max(worst_case_steps(program, states, TARGET), default=0.0)
+
+
 class TestWorstCase:
     def test_countdown_worst_case(self):
-        steps = worst_case_convergence_steps(
-            program_with([dec()]), all_states(), TARGET
-        )
-        assert steps == 5
+        assert worst_case(program_with([dec()]), all_states()) == 5
 
     def test_cycle_makes_worst_case_unbounded(self):
-        steps = worst_case_convergence_steps(
-            program_with([dec(), spin()]), all_states(), TARGET
+        steps = worst_case(program_with([dec(), spin()]), all_states())
+        assert steps == math.inf
+
+    def test_bad_deadlock_is_unbounded(self):
+        # dec is disabled at n = 1, so every start above 0 ends stuck
+        # outside the target: no step bound exists.
+        lame_dec = Action(
+            "dec",
+            Predicate(lambda s: s["n"] > 1, name="n > 1", support=("n",)),
+            Assignment({"n": lambda s: s["n"] - 1}),
+            reads=("n",),
         )
-        assert steps is None
+        program = program_with([lame_dec])
+        result = check_convergence(program, all_states(), TARGET, fairness="none")
+        assert not result.ok and result.counterexample.kind == "deadlock"
+        assert worst_case(program, all_states()) == math.inf
 
     def test_already_converged_is_zero(self):
-        steps = worst_case_convergence_steps(
-            program_with([dec()]), [State({"n": 0})], TARGET
-        )
-        assert steps == 0
+        assert worst_case(program_with([dec()]), [State({"n": 0})]) == 0
 
     def test_branching_takes_longest_path(self):
         # From n, either jump straight to 0 or step down by 1: the
@@ -305,7 +318,4 @@ class TestWorstCase:
             Assignment({"n": 0}),
             reads=("n",),
         )
-        steps = worst_case_convergence_steps(
-            program_with([dec(), jump]), all_states(), TARGET
-        )
-        assert steps == 5
+        assert worst_case(program_with([dec(), jump]), all_states()) == 5

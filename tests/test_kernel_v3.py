@@ -656,9 +656,6 @@ class TestMemoryAccounting:
         records = run_batch([task], workers=1)
         assert records[0]["ok"]
 
-    # The CLI transitively imports numpy (analysis.markov), so its tests
-    # sit out the bare-interpreter leg.
-    @needs_numpy
     def test_cli_byte_size_parses_suffixes(self):
         from repro.cli import _byte_size
 

@@ -17,12 +17,12 @@ Any violation would expose a bug in one of the three independently
 implemented analyses, so these are the library's strongest self-checks.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quantitative import hitting_times
 from repro.core import (
     Action,
     Assignment,
@@ -31,11 +31,11 @@ from repro.core import (
     Program,
     Variable,
 )
+from repro.quantitative import hitting_times, worst_case_steps
 from repro.verification import (
     build_transition_system,
     check_convergence,
     explore,
-    worst_case_convergence_steps,
 )
 
 HI = 2  # each variable ranges over 0..2
@@ -120,15 +120,10 @@ def test_worst_case_duality(case):
     states = list(program.state_space())
     ts = build_transition_system(program, states)
     unfair = check_convergence(program, states, target, fairness="none", system=ts)
-    worst = worst_case_convergence_steps(program, states, target, system=ts)
+    worst = max(worst_case_steps(program, states, target, system=ts), default=0.0)
+    assert math.isinf(worst) == (not unfair.ok)
     if unfair.ok:
-        assert worst is not None
         assert worst <= len(states)
-    if worst is None:
-        assert not unfair.ok
-    elif unfair.counterexample is not None:
-        # A deadlock may coexist with an acyclic bad graph.
-        assert unfair.counterexample.kind == "deadlock"
 
 
 @settings(max_examples=100, deadline=None)

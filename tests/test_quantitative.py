@@ -1,8 +1,8 @@
 """The quantitative tolerance analysis: ``repro.quantitative``.
 
 The load-bearing test here is differential: the CSR value iteration of
-:func:`hitting_times` must agree with the historical dense linear solve
-(:func:`dense_hitting_times`) within :data:`DENSE_AGREEMENT_RTOL` on
+:func:`hitting_times` must agree with the dense linear solve of
+``tests/dense_reference.py`` within its ``DENSE_AGREEMENT_RTOL`` on
 every library protocol, under both engines — including where both
 report ``math.inf``. On top of that the suite pins:
 
@@ -33,19 +33,18 @@ from repro.core import (
     Variable,
 )
 from repro.core.errors import ValidationError
-from repro.protocols.library import CASES, build_case
+from repro.protocols.library import build_case
 from repro.quantitative import (
-    DEFAULT_FAULT_RATE,
-    DENSE_AGREEMENT_RTOL,
     HAVE_NUMPY,
     QuantitativeReport,
     QuantitativeUnsupported,
-    dense_hitting_times,
     hitting_times,
     quantify,
     worst_case_steps,
 )
 from repro.verification.service import VerificationService, tolerance_fingerprint
+
+from tests.dense_reference import DENSE_AGREEMENT_RTOL, dense_hitting_times
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 
@@ -315,13 +314,6 @@ class TestShardedAndBudgeted:
         with pytest.raises(QuantitativeUnsupported, match="memory_budget"):
             quantify(program, invariant, memory_budget=64)
         assert quantify(program, invariant, memory_budget=10**9).path == "scalar"
-
-    def test_dense_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(quantitative, "_np", None)
-        monkeypatch.setattr(quantitative, "HAVE_NUMPY", False)
-        program = _counter([_dec()])
-        with pytest.raises(QuantitativeUnsupported, match="numpy"):
-            dense_hitting_times(program, list(program.state_space()), TARGET)
 
 
 class TestServiceIntegration:

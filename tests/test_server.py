@@ -29,9 +29,9 @@ from repro.observability import (
     Tracer,
 )
 from repro.verification.server import (
+    MAX_BODY_BYTES,
     PROVENANCE_KEYS,
     DaemonThread,
-    VerificationDaemon,
 )
 from repro.verification.service import VerificationService
 from repro.verification.store import VerdictStore
@@ -66,6 +66,19 @@ def post(handle, path, body, timeout=60):
 
 def get(handle, path, timeout=60):
     return _request(handle, "GET", path, timeout=timeout)
+
+
+def _post_declaring_length(handle, length):
+    """POST /verify with a raw ``Content-Length`` header and no body."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+    try:
+        conn.putrequest("POST", "/verify")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 @pytest.fixture
@@ -238,6 +251,18 @@ class TestRequestValidation:
             assert "not JSON" in json.loads(response.read())["error"]
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, daemon, length):
+        status, payload = _post_declaring_length(daemon, length)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_oversized_content_length_is_413_before_the_body(self, daemon):
+        # No body follows the head: the refusal must not wait for it.
+        status, payload = _post_declaring_length(daemon, "99999999999")
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
 
     def test_compositional_without_design_is_400(self, daemon):
         status, payload = post(
@@ -661,22 +686,11 @@ class TestServiceStoreIntegration:
 
 
 # ----------------------------------------------------------------------
-# The service namespace and the CLI surface
+# The CLI surface
 # ----------------------------------------------------------------------
 
 
 class TestServiceNamespace:
-    def test_documented_import_path(self):
-        from repro.service import DaemonThread as NamespaceThread
-        from repro.service import VerificationDaemon as NamespaceDaemon
-        from repro.service import serve
-        from repro.service.server import VerdictStore as NamespaceStore
-
-        assert NamespaceDaemon is VerificationDaemon
-        assert NamespaceThread is DaemonThread
-        assert callable(serve)
-        assert NamespaceStore is VerdictStore
-
     def test_cli_parser_accepts_serve(self):
         from repro.cli import build_parser
 

@@ -1,14 +1,19 @@
-"""Documentation link lint: dead relative links fail the build.
+"""Documentation lint: dead relative links and stale imports fail the build.
 
-Two checks over every tracked Markdown file:
+Three checks:
 
 1. **Resolution** — every relative Markdown link target
-   (``[text](path)``, optionally with a ``#fragment``) must exist on
-   disk, and an explicit ``path#fragment`` into a Markdown file must
-   name a real heading anchor in that file.
+   (``[text](path)``, optionally with a ``#fragment``) in any tracked
+   Markdown file must exist on disk, and an explicit ``path#fragment``
+   into a Markdown file must name a real heading anchor in that file.
 2. **Reachability** — every file under ``docs/`` must be linked from
    ``docs/INDEX.md``, so the index stays the complete map of the
    documentation surface.
+3. **Imports** — every ``import repro…`` / ``from repro… import …`` line
+   in ``README.md`` and ``docs/*.md`` (code blocks included) must
+   resolve (against the linted tree's ``src/`` when run as a script), so
+   the docs never name a module or function that has been deleted or
+   renamed.
 
 External links (``http(s)://``, ``mailto:``) are out of scope — this
 lint must pass offline. Bare-fragment links (``#section``) are checked
@@ -23,6 +28,8 @@ Usage (the CI ``docs-lint`` step)::
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -34,6 +41,9 @@ _LINK = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 #: routinely contain ``dict[str](...)``-shaped text that is not a link.
 _FENCE = re.compile(r"^(```|~~~)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+#: A documented import of this package, optionally behind a ``>>>``
+#: prompt; a parenthesized name list runs on to its closing paren.
+_IMPORT = re.compile(r"^\s*(?:>>>\s*)?((?:from|import)\s+repro\b.*)$")
 
 
 def _anchor(heading: str) -> str:
@@ -74,6 +84,55 @@ def _links_and_anchors(path: Path) -> tuple[list[str], set[str]]:
             counts[slug] = seen + 1
         links.extend(_LINK.findall(line))
     return links, anchors
+
+
+def _import_lines(path: Path) -> list[tuple[int, str]]:
+    statements: list[tuple[int, str]] = []
+    pending: tuple[int, str] | None = None
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if pending is not None:
+            pending = (pending[0], f"{pending[1]} {line.strip()}")
+            if ")" in line:
+                statements.append(pending)
+                pending = None
+            continue
+        match = _IMPORT.match(line)
+        if match is None:
+            continue
+        statement = match.group(1).strip()
+        if "(" in statement and ")" not in statement:
+            pending = (number, statement)
+        else:
+            statements.append((number, statement))
+    return statements
+
+
+def _unresolved(statement: str) -> str | None:
+    """Why ``statement`` fails to import, or ``None`` when it resolves."""
+    try:
+        nodes = ast.parse(statement).body
+    except SyntaxError:
+        return "is not a Python import statement"
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules, names = [alias.name for alias in node.names], []
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules, names = [node.module], [alias.name for alias in node.names]
+        else:
+            return "is not a Python import statement"
+        for module_name in modules:
+            try:
+                module = importlib.import_module(module_name)
+            except ImportError as error:
+                return f"cannot import {module_name} ({error})"
+        for name in names:
+            if name == "*" or hasattr(module, name):
+                continue
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                return f"{module_name} has no name {name!r}"
+    return None
 
 
 def lint(root: Path) -> list[str]:
@@ -120,6 +179,15 @@ def lint(root: Path) -> list[str]:
     else:
         problems.append("docs/INDEX.md: missing (the index is mandatory)")
 
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        if not path.exists():
+            continue
+        rel = path.relative_to(root)
+        for number, statement in _import_lines(path):
+            reason = _unresolved(statement)
+            if reason is not None:
+                problems.append(f"{rel}:{number}: '{statement}' {reason}")
+
     return problems
 
 
@@ -131,6 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     arguments = parser.parse_args(argv)
     root = arguments.root.resolve()
+    sys.path.insert(0, str(root / "src"))
     problems = lint(root)
     for problem in problems:
         print(f"docs-lint: {problem}", file=sys.stderr)
